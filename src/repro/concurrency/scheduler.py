@@ -16,10 +16,10 @@ threads drains them with
   ``w`` consecutive requests per round-robin turn.  With the flag off
   (or with all weights at 1) dispatch order is exactly the unweighted
   FIFO round-robin;
-* **budget awareness** -- a request may carry a ``skip`` predicate
-  (typically "this job's budget is exhausted and the instance is not a
-  free history hit"); skipped requests resolve immediately without
-  occupying a worker;
+* **skips** -- a request may carry a ``skip`` predicate; a skipped
+  request resolves immediately without occupying a worker (sessions
+  no longer need it: they admit a batch against the budget before
+  dispatch, so over-budget items never reach the scheduler);
 * **elasticity** -- workers are spawned lazily up to the configured
   limit and exit after an idle timeout, so short-lived sessions (the
   test-suite creates thousands) do not leak threads.
@@ -426,13 +426,7 @@ class SchedulerBackend:
         return self._scheduler
 
     def run_batch(self, tasks: Sequence[Callable[[], object]]) -> list[object]:
-        requests = [
-            self._scheduler.submit(
-                self.job_id, task, skip=getattr(task, "skip", None)
-            )
-            for task in tasks
-        ]
-        return [request.result() for request in requests]
+        return self._scheduler.run_batch(self.job_id, tasks)
 
 
 class ScheduledExecutor:
@@ -454,11 +448,19 @@ class ScheduledExecutor:
         self._scheduler = scheduler
         self._inner = inner
         self.job_id = job_id
+        if hasattr(inner, "many"):
+            self.many = self._many  # batch entry point, only if inner has one
+
+    def _slot(self, thunk: Callable[[], object]) -> object:
+        """Run ``thunk`` on a worker slot (inline if already on one)."""
+        if getattr(_worker_context, "scheduler", None) is self._scheduler:
+            return thunk()
+        return self._scheduler.submit(self.job_id, thunk).result()
 
     def __call__(self, instance):
-        if getattr(_worker_context, "scheduler", None) is self._scheduler:
-            return self._inner(instance)
-        request = self._scheduler.submit(
-            self.job_id, lambda: self._inner(instance)
-        )
-        return request.result()
+        return self._slot(lambda: self._inner(instance))
+
+    def _many(self, instances):
+        """A whole batch on ONE worker slot (the inner executor decides
+        how the batch itself fans out)."""
+        return self._slot(lambda: self._inner.many(instances))

@@ -136,62 +136,79 @@ class SingleFlightCache:
                 self._values.popitem(last=False)
                 self.stats.evictions += 1
 
-    def get_or_execute(self, key: object, produce):
-        """Return the cached value for ``key``, executing ``produce`` at
-        most once across all concurrent callers.
+    # -- Single-flight primitives ------------------------------------------
+    def claim(self, key: object, count: bool = True) -> tuple[str, object]:
+        """Book one request for ``key`` and say how it will be served.
 
-        A failed leader hands the flight to one blocked waiter (which
-        re-runs ``produce``); the exception propagates only to the
-        caller whose execution raised.
+        Returns ``("hit", value)``; ``("lead", flight)`` -- the caller
+        must produce the value and settle the flight with
+        :meth:`resolve` or :meth:`abandon`; or ``("join", flight)`` --
+        another leader is producing it (:meth:`settle` waits for it).
+        ``count=False`` re-claims without booking a second stat (a
+        follower whose leader failed).
         """
-        counted = False  # each logical request books exactly one stat
+        with self._lock:
+            if key in self._values:
+                if count:
+                    self.stats.hits += 1
+                self._values.move_to_end(key)
+                return "hit", self._values[key]
+            flight = self._flights.get(key)
+            if flight is None:
+                flight = self._flights[key] = _Flight()
+                if count:
+                    self.stats.misses += 1
+                return "lead", flight
+            if count:
+                self.stats.coalesced += 1
+            return "join", flight
+
+    def resolve(self, key: object, flight: _Flight, value: object) -> None:
+        """Settle a led flight with its value (cached, followers served)."""
+        with self._lock:
+            self.stats.executions += 1
+            self._insert(key, value)
+            self._flights.pop(key, None)
+        flight.outcome = value
+        flight.done.set()
+
+    def abandon(self, key: object, flight: _Flight) -> None:
+        """Settle a led flight as failed: its followers contend to lead
+        again, so a transient failure never poisons the cache."""
+        with self._lock:
+            self.stats.failures += 1
+            self._flights.pop(key, None)
+        flight.error = RuntimeError("leader execution failed")
+        flight.done.set()
+
+    def settle(self, key: object, state: str, found: object, produce):
+        """Serve a claimed request to the end: return a hit, lead the
+        flight with ``produce``, or join it -- contending to lead again
+        whenever the leader fails.  A raise propagates only to the
+        caller whose own ``produce`` raised."""
         while True:
-            with self._lock:
-                if key in self._values:
-                    if not counted:
-                        self.stats.hits += 1
-                    self._values.move_to_end(key)
-                    return self._values[key]
-                flight = self._flights.get(key)
-                if flight is None:
-                    flight = _Flight()
-                    self._flights[key] = flight
-                    leader = True
-                    if not counted:
-                        self.stats.misses += 1
-                        counted = True
-                else:
-                    leader = False
-                    if not counted:
-                        self.stats.coalesced += 1
-                        counted = True
-            if leader:
+            if state == "hit":
+                return found
+            if state == "lead":
                 try:
                     value = produce()
                 except BaseException:
-                    with self._lock:
-                        self.stats.failures += 1
-                        # Abandon the flight: the next waiter to wake
-                        # becomes the new leader on its retry loop.
-                        self._flights.pop(key, None)
-                    flight.error = RuntimeError("leader execution failed")
-                    flight.done.set()
+                    self.abandon(key, found)  # type: ignore[arg-type]
                     raise
-                with self._lock:
-                    self.stats.executions += 1
-                    self._insert(key, value)
-                    self._flights.pop(key, None)
-                flight.outcome = value
-                flight.done.set()
+                self.resolve(key, found, value)  # type: ignore[arg-type]
                 return value
-            flight.done.wait()
-            if flight.error is None:
-                # The coalesced request was served by the leader.  The
-                # flight carries the value directly: with a bounded
-                # cache the entry may already have been evicted by the
-                # time this waiter wakes.
+            found.done.wait()  # type: ignore[union-attr]
+            if found.error is None:  # type: ignore[union-attr]
+                # The flight carries the value directly: with a bounded
+                # cache the entry may already have been evicted.
                 with self._lock:
                     if key in self._values:
                         self._values.move_to_end(key)
-                return flight.outcome
-            # Leader failed: loop and contend to become the new leader.
+                return found.outcome  # type: ignore[union-attr]
+            state, found = self.claim(key, count=False)
+
+    def get_or_execute(self, key: object, produce):
+        """Return the cached value for ``key``, executing ``produce`` at
+        most once across all concurrent callers."""
+        state, found = self.claim(key)
+        return self.settle(key, state, found, produce)

@@ -11,6 +11,7 @@ unit and is recorded in the history.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections.abc import Callable, Iterable, Sequence
@@ -40,17 +41,15 @@ class InstanceUnavailable(LookupError):
 class ExecutionBackend(Protocol):
     """Pluggable batch-execution strategy for a :class:`DebugSession`.
 
-    The session stays the single owner of budget/history accounting; a
-    backend only decides *where and with what concurrency* the batch
-    tasks run.  Implementations live in :mod:`repro.concurrency.scheduler`
-    (a per-job view of a shared worker pool) -- the parallel
-    dispatcher of Section 4.3 is the ``parallel=True`` case.
+    The session stays the single owner of budget/history accounting: it
+    admits (charges) a batch before handing it over and records the
+    outcomes afterwards, so a backend only decides *where and with what
+    concurrency* the batch tasks run.  Implementations live in
+    :mod:`repro.concurrency.scheduler` (a per-job view of a shared
+    worker pool) -- the parallel dispatcher of Section 4.3.
 
-    Each task is a zero-argument callable returning the evaluated
-    :class:`~repro.core.types.Outcome` or None for a dropped item; it
-    may expose a zero-argument ``skip`` attribute that a budget-aware
-    backend can consult to resolve the task as dropped without
-    occupying an execution slot.
+    Each task is a zero-argument callable; ``run_batch`` returns their
+    results in order and propagates a task's raise.
     """
 
     @property
@@ -59,19 +58,27 @@ class ExecutionBackend(Protocol):
         ...
 
     def run_batch(
-        self, tasks: Sequence[Callable[[], Outcome | None]]
-    ) -> list[Outcome | None]:  # pragma: no cover - protocol
+        self, tasks: Sequence[Callable[[], object]]
+    ) -> list[object]:  # pragma: no cover - protocol
         """Run independent tasks, returning their results in order."""
         ...
+
+
+def _attempt(executor: Executor, instance: Instance) -> Outcome | BaseException:
+    """One fan-out task: the outcome, or the error the executor raised."""
+    try:
+        return executor(instance)
+    except BaseException as error:  # settled by the session, not here
+        return error
 
 
 class DebugSession:
     """Execution context shared by the debugging algorithms.
 
-    Thread-safe: the parallel dispatcher evaluates many instances
-    concurrently against one session.  The lock protects the
-    history/budget pair so the paper's cost accounting stays exact even
-    under speculative parallelism (Section 4.3).
+    Thread-safe: the lock protects the history/budget pair, and a
+    speculative batch (Section 4.3) is admitted and recorded under it
+    in batch order, so the paper's cost accounting stays exact however
+    the backend runs the batch.
 
     Args:
         executor: black-box pipeline (instance -> outcome).
@@ -176,41 +183,16 @@ class DebugSession:
             # as non-Exception errors precisely so batch error-swallowing
             # cannot absorb them; their charge must be refunded too.
             with self._lock:
-                # Refund: the execution did not complete, so the paper's
-                # cost measure (completed instance runs) is not charged.
-                self._budget._spent -= 1  # noqa: SLF001 - deliberate refund
+                self._refund(1)
             raise
         elapsed = time.perf_counter() - started
         with self._lock:
-            if self._history.outcome_of(instance) is None:
-                self._history.record(instance, outcome)
-            else:
-                # A concurrent evaluation beat us to it; refund our charge
-                # so accounting matches the deduplicated history.
-                self._budget._spent -= 1  # noqa: SLF001 - deliberate refund
-                return self._history.outcome_of(instance)  # type: ignore[return-value]
-            self._executions += 1
+            known = self._record(instance, outcome)
+            if known is not None:
+                return known
             spent = self._budget.spent
             executions = self._executions
-        progress = self.progress
-        if progress is not None:
-            # Snapshot taken under the lock (self-consistent); published
-            # outside it so a slow subscriber cannot stall evaluation.
-            # Exactly one budget_spent event per charged execution, and
-            # one execution span right before it (wall-time breakdowns
-            # per job stay queryable from the event log alone).
-            try:
-                progress("span", {"name": "execution", "seconds": elapsed})
-                progress(
-                    "budget_spent",
-                    {
-                        "spent": spent,
-                        "limit": self._budget.limit,
-                        "new_executions": executions,
-                    },
-                )
-            except Exception:
-                pass  # a broken progress sink must never fail the run
+        self._publish(elapsed, spent, executions)
         return outcome
 
     def evaluate_many(self, instances: Sequence[Instance]) -> list[Outcome | None]:
@@ -218,44 +200,149 @@ class DebugSession:
 
         Without a backend the batch runs serially inline and exceptions
         propagate (strict per-item semantics).  With a backend, items
-        are speculatively independent (Section 4.3): an item whose
-        evaluation raised, replay-missed, or ran out of budget resolves
-        to None instead of aborting the batch.
+        are speculatively independent (Section 4.3) and the batch costs
+        exactly what the inline serial twin -- each item evaluated in
+        order, a raising or over-budget item resolving to None -- would:
+
+        * **Admission** (under the lock, in batch order): history hits
+          resolve free, a repeat of an item charged in this round waits
+          for that item's outcome, and new items are charged while the
+          budget lasts; the rest wait.
+        * **Dispatch**: the charged items go to the backend as one task
+          when the executor has a batch entry point
+          (``many(instances) -> list[Outcome | BaseException]``), else
+          as one task per item.
+        * **Recording** (in batch order): outcomes enter the history;
+          an item that raised is refunded and resolves to None.  A
+          refund frees budget, so admission runs again over the items
+          still waiting -- the top-up that admits exactly the items the
+          serial twin would have charged next.
+
+        A non-``Exception`` error (a cancellation unwind) propagates
+        once its round is recorded and every unrecorded charge refunded.
         """
         if self._backend is None:
             return [self.evaluate(instance) for instance in instances]
-        if not instances:
-            return []
-        return list(
-            self._backend.run_batch(
-                [self._batch_task(instance) for instance in instances]
-            )
+        results: list[Outcome | None] = [None] * len(instances)
+        waiting = list(range(len(instances)))
+        while waiting:
+            charged, waiting = self._admit(instances, waiting, results)
+            if not charged:
+                break  # nothing affordable is left: the rest drop
+            batch = [instances[index] for index in charged]
+            started = time.perf_counter()
+            try:
+                outcomes = self._dispatch(batch)
+            except BaseException:
+                with self._lock:
+                    self._refund(len(charged))
+                raise
+            share = (time.perf_counter() - started) / len(charged)
+            fatal: BaseException | None = None
+            published: list[tuple[int, int]] = []
+            with self._lock:
+                spent = self._budget.spent - len(charged)
+                for index, outcome in zip(charged, outcomes):
+                    if isinstance(outcome, BaseException):
+                        self._refund(1)
+                        if fatal is None and not isinstance(outcome, Exception):
+                            fatal = outcome
+                        continue
+                    known = self._record(instances[index], outcome)
+                    if known is not None:
+                        results[index] = known
+                        continue
+                    results[index] = outcome
+                    spent += 1
+                    published.append((spent, self._executions))
+            for spent, executions in published:
+                self._publish(share, spent, executions)
+            if fatal is not None:
+                raise fatal
+        return results
+
+    def _admit(
+        self,
+        instances: Sequence[Instance],
+        waiting: list[int],
+        results: list[Outcome | None],
+    ) -> tuple[list[int], list[int]]:
+        """One admission pass over ``waiting`` (batch order).
+
+        Returns the indices charged this round and those still waiting:
+        repeats of a charged item and items the budget could not cover.
+        """
+        charged: list[int] = []
+        still: list[int] = []
+        seen: set[Instance] = set()
+        with self._lock:
+            for index in waiting:
+                instance = instances[index]
+                known = self._history.outcome_of(instance)
+                if known is not None:
+                    results[index] = known
+                elif instance in seen or self._budget.exhausted():
+                    still.append(index)
+                else:
+                    self._budget.charge()
+                    seen.add(instance)
+                    charged.append(index)
+        return charged, still
+
+    def _dispatch(
+        self, batch: list[Instance]
+    ) -> list[Outcome | BaseException]:
+        """Run charged instances on the backend; one result per item."""
+        many = getattr(self._executor, "many", None)
+        if many is not None:
+            return self._backend.run_batch([lambda: many(batch)])[0]
+        executor = self._executor
+        return self._backend.run_batch(
+            [functools.partial(_attempt, executor, instance) for instance in batch]
         )
 
-    def _batch_task(self, instance: Instance):
-        """One backend task: evaluate with drop-on-failure semantics.
+    def _record(self, instance: Instance, outcome: Outcome) -> Outcome | None:
+        """Record a charged execution (caller holds the lock).
 
-        The attached ``skip`` hook lets a budget-aware backend resolve
-        the task without dispatching it when the job's budget is gone
-        and the instance is not a free history hit.
+        Returns None when recorded, or the outcome a concurrent
+        evaluation already recorded -- the charge is then refunded so
+        accounting matches the deduplicated history.
         """
+        known = self._history.outcome_of(instance)
+        if known is not None:
+            self._refund(1)
+            return known
+        self._history.record(instance, outcome)
+        self._executions += 1
+        return None
 
-        def task() -> Outcome | None:
-            try:
-                return self.evaluate(instance)
-            except InstanceUnavailable:
-                return None
-            except Exception:
-                return None
+    def _refund(self, count: int) -> None:
+        """Return uncompleted charges (caller holds the lock): the
+        paper's cost measure counts completed instance runs only."""
+        self._budget._spent -= count  # noqa: SLF001 - deliberate refund
 
-        def skip() -> bool:
-            return (
-                self._budget.exhausted()
-                and self._history.outcome_of(instance) is None
+    def _publish(self, elapsed: float, spent: int, executions: int) -> None:
+        """One execution span and one ``budget_spent`` event per charged,
+        completed execution, from a snapshot taken under the lock.
+
+        Published outside the lock so a slow subscriber cannot stall
+        evaluation; a broken progress sink must never fail the run.
+        """
+        progress = self.progress
+        if progress is None:
+            return
+        try:
+            progress("span", {"name": "execution", "seconds": elapsed})
+            progress(
+                "budget_spent",
+                {
+                    "spent": spent,
+                    "limit": self._budget.limit,
+                    "new_executions": executions,
+                },
             )
-
-        task.skip = skip  # type: ignore[attr-defined]
-        return task
+        except Exception:
+            pass
 
     def try_evaluate(self, instance: Instance) -> Outcome | None:
         """Evaluate, mapping replay-unavailability to None (early stop)."""

@@ -10,8 +10,10 @@ process boundary:
   threaded, and forking a threaded parent is undefined behavior-adjacent
   everywhere and broken on macOS).  Each worker receives
   :class:`~repro.exec.spec.ExecutorSpec` payloads, builds the executor
-  once per distinct spec fingerprint, and then serves ``run`` requests
-  over its private pipe.
+  once per distinct spec fingerprint, and then serves ``run`` frames
+  over its private pipe: a frame carries a list of instances (one for
+  a single run, a worker's share of a speculative batch otherwise) and
+  is answered item by item.
 * **The pool is warm and elastic**: ``prewarm`` workers start eagerly,
   more spawn on demand up to ``max_workers``, and workers idle longer
   than ``idle_timeout`` are retired down to ``min_workers``
@@ -19,9 +21,10 @@ process boundary:
 * **Crash detection and replacement**: a worker that dies mid-run
   (pipe EOF / dead process) is discarded and replaced; the run is
   retried on a fresh worker up to ``crash_retries`` times and then
-  surfaces as :class:`WorkerCrashed`.  A run exceeding its timeout gets
-  its (possibly hung) worker killed and surfaces as :class:`RunTimedOut`
-  after ``timeout_retries`` retries.  Either way the failure is
+  surfaces as :class:`WorkerCrashed`; the unanswered rest of its frame
+  is re-dispatched without consuming a retry.  A run exceeding its
+  timeout gets its (possibly hung) worker killed and surfaces as
+  :class:`RunTimedOut` after ``timeout_retries`` retries.  Either way the failure is
   *deterministic and contained*: the session charged the run at entry
   and refunds it on the raised error (``DebugSession.evaluate``'s
   BaseException refund), so the paper-exact budget accounting is never
@@ -51,8 +54,9 @@ import threading
 import time
 import uuid
 from collections.abc import Callable, Sequence
+from multiprocessing.connection import wait as _wait_ready
 
-from ..concurrency.scheduler import SharedScheduler
+from ..concurrency.scheduler import SchedulerBackend, SharedScheduler
 from ..core.session import DebugSession
 from ..core.types import Instance, Outcome
 from .retry import RetryPolicy
@@ -125,15 +129,17 @@ class PoolShutDown(RuntimeError):
 
 
 def _worker_main(conn, store_path: str | None) -> None:
-    """Worker process body: build executors on demand, serve runs.
+    """Worker process body: build executors on demand, serve run frames.
 
-    Messages in: ``("run", fingerprint, spec, workflow, values_dict)``
-    (optionally extended with a sixth trace-context dict) or ``None``
-    (shutdown).  Messages out: ``("ready", pid)`` once, then per run
-    ``("ok", outcome_value, cost, from_store)`` -- extended with a
-    fifth span record when the run was traced -- or
-    ``("error", detail)``.  A pipeline that kills the process mid-run
-    simply never answers -- the parent detects the EOF/dead process.
+    Frames in: ``("run", fingerprint, spec, workflow, values_dicts,
+    traces)`` -- a list of instances and either None or one trace-context
+    dict per instance -- or ``None`` (shutdown).  Messages out:
+    ``("ready", pid)`` once, then ONE reply per item, in item order:
+    ``("ok", outcome_value, cost, from_store, span)`` (``span`` is the
+    worker-minted record of a traced item, else None) or
+    ``("error", detail)``.  A pipeline that kills the process mid-frame
+    leaves the rest of the frame unanswered -- the parent detects the
+    EOF/dead process and re-dispatches exactly those items.
     """
     conn.send(("ready", os.getpid()))
     executors: dict[str, object] = {}
@@ -145,56 +151,58 @@ def _worker_main(conn, store_path: str | None) -> None:
             return
         if message is None:
             return
-        __, fingerprint, spec, workflow, values = message[:5]
-        trace = message[5] if len(message) > 5 else None
-        span = _worker_span(trace)
-        try:
-            executor = executors.get(fingerprint)
-            if executor is None:
-                executor = executors[fingerprint] = spec.build()
-            instance = Instance(values)
-            if store_path is not None and store is None:
-                from ..provenance.store import SQLiteProvenanceStore
-
-                store = SQLiteProvenanceStore(store_path)
-            if store is not None:
-                try:
-                    record = store.lookup(workflow, instance)
-                except Exception:
-                    record = None  # store trouble reads as a miss
-                if record is not None:
-                    reply = ("ok", record.outcome.value, record.cost, True)
-                    conn.send(reply + (span,) if span else reply)
-                    continue
-            started = time.perf_counter()
-            outcome = executor(instance)
-            cost = time.perf_counter() - started
-            if not isinstance(outcome, Outcome):
-                raise TypeError(
-                    f"executor returned {type(outcome).__name__}, not Outcome"
-                )
-            if store is not None:
-                from ..provenance.record import ProvenanceRecord
-
-                try:
-                    store.upsert(
-                        ProvenanceRecord(
-                            workflow=workflow,
-                            instance=instance,
-                            outcome=outcome,
-                            cost=cost,
-                            created_at=time.time(),
-                        )
-                    )
-                except Exception:
-                    pass  # lost write-through must not fail the run
-            reply = ("ok", outcome.value, cost, False)
-            conn.send(reply + (span,) if span else reply)
-        except Exception as error:
+        __, fingerprint, spec, workflow, values_list, traces = message
+        for position, values in enumerate(values_list):
+            span = _worker_span(traces[position]) if traces else None
             try:
-                conn.send(("error", repr(error)))
+                executor = executors.get(fingerprint)
+                if executor is None:
+                    executor = executors[fingerprint] = spec.build()
+                if store_path is not None and store is None:
+                    from ..provenance.store import SQLiteProvenanceStore
+
+                    store = SQLiteProvenanceStore(store_path)
+                reply = _run_item(executor, store, workflow, Instance(values))
+                reply += (span,)
+            except Exception as error:
+                reply = ("error", repr(error))
+            try:
+                conn.send(reply)
             except (BrokenPipeError, OSError):
                 return
+
+
+def _run_item(executor, store, workflow: str, instance: Instance) -> tuple:
+    """One item of a frame: ``("ok", outcome_value, cost, from_store)``,
+    served from the provenance store when it already holds the run."""
+    if store is not None:
+        try:
+            record = store.lookup(workflow, instance)
+        except Exception:
+            record = None  # store trouble reads as a miss
+        if record is not None:
+            return ("ok", record.outcome.value, record.cost, True)
+    started = time.perf_counter()
+    outcome = executor(instance)
+    cost = time.perf_counter() - started
+    if not isinstance(outcome, Outcome):
+        raise TypeError(f"executor returned {type(outcome).__name__}, not Outcome")
+    if store is not None:
+        from ..provenance.record import ProvenanceRecord
+
+        try:
+            store.upsert(
+                ProvenanceRecord(
+                    workflow=workflow,
+                    instance=instance,
+                    outcome=outcome,
+                    cost=cost,
+                    created_at=time.time(),
+                )
+            )
+        except Exception:
+            pass  # lost write-through must not fail the run
+    return ("ok", outcome.value, cost, False)
 
 
 class _Worker:
@@ -215,48 +223,40 @@ class _Worker:
         )
         self.process.start()
         child_conn.close()  # parent keeps only its end; EOF then means death
-        if not self.conn.poll(_READY_TIMEOUT):
-            self.kill()
-            raise WorkerCrashed(
-                f"worker {worker_id} not ready within {_READY_TIMEOUT}s"
-            )
+
+    def ready(self, timeout: float) -> bool:
+        """Consume the worker's ready message; False while it is still
+        booting.  EOFError/OSError mean it died booting."""
+        if not self.conn.poll(timeout):
+            return False
         kind, __ = self.conn.recv()
         assert kind == "ready"
+        return True
 
-    def run(
+    def send_frame(
         self,
         spec: ExecutorSpec,
         workflow: str,
-        instance: Instance,
-        timeout: float | None,
-        trace: dict | None = None,
-    ) -> tuple[Outcome, float, bool, dict | None]:
-        """One round-trip; raises WorkerCrashed / RunTimedOut / RemoteRunError."""
-        try:
-            self.conn.send(
-                (
-                    "run",
-                    spec.fingerprint,
-                    spec,
-                    workflow,
-                    instance.as_dict(),
-                    trace,
-                )
+        instances: list[Instance],
+        traces: list | None,
+    ) -> None:
+        """Ship one frame; its replies arrive one per item on ``conn``."""
+        self.conn.send(
+            (
+                "run",
+                spec.fingerprint,
+                spec,
+                workflow,
+                [instance.as_dict() for instance in instances],
+                traces,
             )
-            if not self.conn.poll(timeout):
-                raise RunTimedOut(timeout if timeout is not None else 0.0)
-            reply = self.conn.recv()
-        except (EOFError, BrokenPipeError, OSError) as error:
-            raise WorkerCrashed(
-                f"worker {self.worker_id} (pid {self.process.pid}, "
-                f"exitcode {self.process.exitcode}): {error!r}"
-            ) from None
-        self.runs += 1
-        if reply[0] == "error":
-            raise RemoteRunError(reply[1])
-        __, outcome_value, cost, from_store = reply[:4]
-        span = reply[4] if len(reply) > 4 else None
-        return Outcome(outcome_value), cost, from_store, span
+        )
+
+    def crashed(self, error: BaseException) -> WorkerCrashed:
+        return WorkerCrashed(
+            f"worker {self.worker_id} (pid {self.process.pid}, "
+            f"exitcode {self.process.exitcode}): {error!r}"
+        )
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -280,6 +280,23 @@ class _Worker:
             self.kill()
         else:
             self.conn.close()
+
+
+class _Frame:
+    """One worker's share of a batch: item indices and replies so far."""
+
+    __slots__ = ("worker", "items", "answered", "deadline")
+
+    def __init__(self, worker: _Worker, items: list[int]):
+        self.worker = worker
+        self.items = items
+        self.answered = 0
+        self.deadline: float | None = None
+
+    def touch(self, timeout: float | None) -> None:
+        """Restart the per-item clock (at send, and after each reply)."""
+        if timeout is not None:
+            self.deadline = time.monotonic() + timeout
 
 
 class ProcessPool:
@@ -347,6 +364,7 @@ class ProcessPool:
         self._ctx = multiprocessing.get_context("spawn")
         self._condition = threading.Condition(threading.Lock())
         self._idle: list[tuple[_Worker, float]] = []  # LIFO: last is warmest
+        self._warming: list[_Worker] = []  # started, not yet ready
         self._live = 0
         self._next_id = 0
         self._shutdown = False
@@ -360,6 +378,7 @@ class ProcessPool:
             "retries": 0,
             "replaced": 0,
             "backoff_seconds": 0.0,
+            "frames": 0,  # pipe round trips: one per worker per batch
         }
         self._batch_scheduler: SharedScheduler | None = None
         self._sizer = None  # AdaptiveSizer attaches itself (stats surface)
@@ -413,14 +432,44 @@ class ProcessPool:
         return worker_id
 
     def _spawn_reserved(self, worker_id: int) -> _Worker:
-        """Spawn the worker for an already-reserved slot (no lock held)."""
+        """Spawn the worker for an already-reserved slot and wait until
+        it is ready (no lock held)."""
         try:
-            return _Worker(self._ctx, worker_id, self.store_path)
+            worker = _Worker(self._ctx, worker_id, self.store_path)
+            if not worker.ready(_READY_TIMEOUT):
+                worker.kill()
+                raise WorkerCrashed(
+                    f"worker {worker_id} not ready within {_READY_TIMEOUT}s"
+                )
+            return worker
         except BaseException:
             with self._condition:
                 self._live -= 1
                 self._condition.notify()
             raise
+
+    def _pop_idle_locked(self) -> _Worker | None:
+        """The warmest live idle worker, or None (caller holds the lock)."""
+        for worker in list(self._warming):
+            try:
+                if not worker.ready(0):
+                    continue  # still booting
+                self._idle.append((worker, time.monotonic()))
+            except (EOFError, OSError):  # died booting
+                worker.kill()
+                self._live -= 1
+                self._stats["crashes"] += 1
+            self._warming.remove(worker)
+        while self._idle:
+            worker, __ = self._idle.pop()
+            if worker.alive():
+                return worker
+            # An idle worker died in place (e.g. OOM-killed): drop it
+            # and keep looking.
+            self._live -= 1
+            self._stats["crashes"] += 1
+            self._stats["replaced"] += 1
+        return None
 
     def _acquire(self) -> _Worker:
         deadline = time.monotonic() + self._acquire_timeout
@@ -428,15 +477,9 @@ class ProcessPool:
             while True:
                 if self._shutdown:
                     raise PoolShutDown("process pool is shut down")
-                while self._idle:
-                    worker, __ = self._idle.pop()
-                    if worker.alive():
-                        return worker
-                    # An idle worker died in place (e.g. OOM-killed):
-                    # drop it and keep looking.
-                    self._live -= 1
-                    self._stats["crashes"] += 1
-                    self._stats["replaced"] += 1
+                worker = self._pop_idle_locked()
+                if worker is not None:
+                    return worker
                 if self._live < self.max_workers:
                     worker_id = self._reserve_slot_locked()
                     break  # slot claimed; spawn outside the lock
@@ -447,6 +490,31 @@ class ProcessPool:
                     )
                 self._condition.wait(min(remaining, 1.0))
         return self._spawn_reserved(worker_id)
+
+    def _acquire_some(self, wanted: int) -> list[_Worker]:
+        """One worker (waiting for it if need be) plus up to
+        ``wanted - 1`` more that are idle right now: a batch never
+        waits for a second worker."""
+        workers = [self._acquire()]
+        with self._condition:
+            while len(workers) < wanted:
+                worker = self._pop_idle_locked()
+                if worker is None:
+                    break
+                workers.append(worker)
+            # Short of idle workers with room to grow: start more for
+            # the next batch, without waiting for them to boot.
+            grow = min(wanted - len(workers), self.max_workers - self._live)
+            for __ in range(grow):
+                worker_id = self._reserve_slot_locked()
+                try:
+                    self._warming.append(
+                        _Worker(self._ctx, worker_id, self.store_path)
+                    )
+                except OSError:  # no process to start: give the slot back
+                    self._live -= 1
+                    break
+        return workers
 
     def _release(self, worker: _Worker) -> None:
         with self._condition:
@@ -462,16 +530,15 @@ class ProcessPool:
             return
         self.reap_idle()
 
-    def _discard(self, worker: _Worker, *, timed_out: bool) -> None:
-        """Kill a crashed or hung worker and free its slot."""
+    def _discard(self, worker: _Worker, fault: str | None) -> None:
+        """Kill a crashed, hung or abandoned worker and free its slot;
+        ``fault`` (``"crash"``/``"timeout"``) books the replacement."""
         worker.kill()
         with self._condition:
             self._live -= 1
-            self._stats["replaced"] += 1
-            if timed_out:
-                self._stats["timeouts"] += 1
-            else:
-                self._stats["crashes"] += 1
+            if fault is not None:
+                self._stats["replaced"] += 1
+                self._stats["crashes" if fault == "crash" else "timeouts"] += 1
             self._condition.notify()
 
     def reap_idle(self) -> int:
@@ -569,45 +636,179 @@ class ProcessPool:
         worker pipe; a traced reply carries the worker-minted child span
         (``{"trace": ..., "host": ..., "pid": ...}``), else None.
         """
+        traces = None if trace is None else [trace]
+        result = self.run_many(spec, workflow, [instance], timeout, traces)[0]
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
+    def run_many(
+        self,
+        spec: ExecutorSpec,
+        workflow: str,
+        instances: Sequence[Instance],
+        timeout: float | None = None,
+        traces: Sequence[dict | None] | None = None,
+    ) -> list[tuple[Outcome, float, bool, dict | None] | BaseException]:
+        """Execute a batch with one pipe frame per worker (thread-safe).
+
+        The batch is split into contiguous shares over the idle workers
+        -- at least one, never waiting for a second -- and each worker
+        answers its frame item by item.  A worker lost mid-frame (death
+        or timeout) costs only its unanswered items: the one it was
+        running consumes a retry of that fault class under the pool's
+        :class:`~repro.exec.retry.RetryPolicy` (or ends with the fault
+        once the retries are spent), and the rest are re-dispatched
+        as they are.  ``timeout`` caps each item, measured from the
+        previous reply of the same frame.
+
+        Returns one result per item, in order: ``(outcome, cost_seconds,
+        from_store, span)`` like :meth:`run_traced`, or the error the
+        item ended with (:class:`RemoteRunError`, :class:`WorkerCrashed`,
+        :class:`RunTimedOut`, :class:`PoolShutDown`, ...).
+        """
         if timeout is None:
             timeout = self.run_timeout
-        retry = self.retry_policy.start()
-        while True:
-            worker = self._acquire()
+        results: list = [None] * len(instances)
+        retries: dict[int, object] = {}
+        todo = list(range(len(instances)))
+        while todo:
             try:
-                outcome, cost, from_store, span = worker.run(
-                    spec, workflow, instance, timeout, trace
-                )
-            except RunTimedOut:
-                self._discard(worker, timed_out=True)
-                self._backoff(retry, "timeout")
-            except WorkerCrashed:
-                self._discard(worker, timed_out=False)
-                self._backoff(retry, "crash")
-            except BaseException:
-                # RemoteRunError and friends: the worker answered and is
-                # healthy; only the pipeline failed.
-                self._release(worker)
-                raise
-            else:
-                self._release(worker)
-                with self._condition:
-                    self._stats["runs"] += 1
-                    if from_store:
-                        self._stats["store_hits"] += 1
-                return outcome, cost, from_store, span
+                workers = self._acquire_some(len(todo))
+            except (PoolShutDown, TimeoutError) as error:
+                for index in todo:
+                    results[index] = error
+                break
+            share, extra = divmod(len(todo), len(workers))
+            frames, start = [], 0
+            for position, worker in enumerate(workers):
+                size = share + (position < extra)
+                frames.append(_Frame(worker, todo[start : start + size]))
+                start += size
+            todo = self._exchange(
+                frames, spec, workflow, instances, traces, timeout, results, retries
+            )
+        return results
 
-    def _backoff(self, retry, kind: str) -> None:
-        """Consume one retry of ``kind`` (re-raising when exhausted) and
-        sleep out its backoff delay."""
-        delay = retry.next_delay(kind)
-        if delay is None:
+    def _exchange(
+        self,
+        frames: list["_Frame"],
+        spec: ExecutorSpec,
+        workflow: str,
+        instances: Sequence[Instance],
+        traces: Sequence[dict | None] | None,
+        timeout: float | None,
+        results: list,
+        retries: dict,
+    ) -> list[int]:
+        """Send every frame, then read replies from whichever worker is
+        ready (no thread per worker).  Fills ``results`` and returns the
+        indices to re-dispatch."""
+        live: dict[object, _Frame] = {}
+        unsent = list(frames)
+        again: list[int] = []
+        delay = 0.0
+        sent = runs = store_hits = 0
+
+        def lost(frame: _Frame, kind: str, error: BaseException) -> None:
+            """The frame's worker is gone: the item it was running
+            consumes a ``kind`` retry (or ends with ``error``); the
+            never-started rest travel again as they are."""
+            nonlocal delay
+            self._discard(frame.worker, kind)
+            running, *rest = frame.items[frame.answered :]
+            state = retries.get(running)
+            if state is None:
+                state = retries[running] = self.retry_policy.start()
+            wait = state.next_delay(kind)
+            if wait is None:
+                results[running] = error
+            else:
+                rest.insert(0, running)
+                delay = max(delay, wait)
+                with self._condition:
+                    self._stats["retries"] += 1
+                    self._stats["backoff_seconds"] += wait
+            again.extend(rest)
+
+        try:
+            while unsent:
+                frame = unsent.pop(0)
+                try:
+                    frame.worker.send_frame(
+                        spec,
+                        workflow,
+                        [instances[index] for index in frame.items],
+                        None if traces is None else [traces[i] for i in frame.items],
+                    )
+                except OSError as error:  # includes a broken pipe
+                    lost(frame, "crash", frame.worker.crashed(error))
+                    continue
+                except Exception as error:  # unpicklable: nothing was sent
+                    for index in frame.items:
+                        results[index] = error
+                    self._release(frame.worker)
+                    continue
+                sent += 1
+                frame.touch(timeout)
+                live[frame.worker.conn] = frame
+            while live:
+                deadlines = [
+                    frame.deadline
+                    for frame in live.values()
+                    if frame.deadline is not None
+                ]
+                ready = _wait_ready(
+                    list(live),
+                    max(0.0, min(deadlines) - time.monotonic())
+                    if deadlines
+                    else None,
+                )
+                if not ready:
+                    now = time.monotonic()
+                    for conn, frame in list(live.items()):
+                        if frame.deadline is not None and frame.deadline <= now:
+                            del live[conn]
+                            lost(frame, "timeout", RunTimedOut(timeout or 0.0))
+                    continue
+                for conn in ready:
+                    frame = live[conn]
+                    try:
+                        reply = conn.recv()
+                    except (EOFError, OSError) as error:
+                        del live[conn]
+                        lost(frame, "crash", frame.worker.crashed(error))
+                        continue
+                    index = frame.items[frame.answered]
+                    frame.answered += 1
+                    frame.worker.runs += 1
+                    if reply[0] == "error":
+                        # The pipeline raised; the worker is healthy.
+                        results[index] = RemoteRunError(reply[1])
+                    else:
+                        __, value, cost, from_store, span = reply
+                        results[index] = (Outcome(value), cost, from_store, span)
+                        runs += 1
+                        store_hits += bool(from_store)
+                    if frame.answered == len(frame.items):
+                        del live[conn]
+                        self._release(frame.worker)
+                    else:
+                        frame.touch(timeout)
+        except BaseException:
+            for frame in unsent:
+                self._release(frame.worker)
+            for frame in live.values():  # mid-frame pipes are unusable
+                self._discard(frame.worker, None)
             raise
-        with self._condition:
-            self._stats["retries"] += 1
-            self._stats["backoff_seconds"] += delay
+        finally:
+            with self._condition:
+                self._stats["frames"] += sent
+                self._stats["runs"] += runs
+                self._stats["store_hits"] += store_hits
         if delay > 0:
             time.sleep(delay)
+        return sorted(again)
 
     # -- Session-facing adapters ---------------------------------------------
     def executor(
@@ -687,8 +888,9 @@ class ProcessPool:
                 return
             self._shutdown = True
             idle = [worker for worker, __ in self._idle]
-            self._idle.clear()
-            self._live -= len(idle)
+            warming = self._warming
+            self._idle, self._warming = [], []
+            self._live -= len(idle) + len(warming)
             scheduler = self._batch_scheduler
             self._batch_scheduler = None
             self._condition.notify_all()
@@ -696,6 +898,8 @@ class ProcessPool:
             scheduler.shutdown()
         for worker in idle:
             worker.stop()
+        for worker in warming:
+            worker.kill()
 
     def __enter__(self) -> "ProcessPool":
         return self
@@ -712,7 +916,10 @@ class ProcessExecutor:
     call ships ``(spec, workflow, instance)`` to a worker process and
     blocks for the outcome, so a serial session transparently executes
     out-of-process and a scheduler-driven service can point its worker
-    threads at one of these to bridge threads -> processes.
+    threads at one of these to bridge threads -> processes.  When the
+    pool runs batches (``run_many``), the executor also offers the
+    batch entry point ``many`` -- one pipe frame per worker for a whole
+    speculative batch.
     """
 
     def __init__(
@@ -730,6 +937,8 @@ class ProcessExecutor:
         self._timeout = timeout
         self._trace = trace
         self._emit = emit
+        if hasattr(pool, "run_many"):
+            self.many = self._many  # batch entry point, only if pool has one
 
     @property
     def pool(self) -> ProcessPool:
@@ -744,77 +953,94 @@ class ProcessExecutor:
             return self._pool.run(
                 self._spec, self._workflow, instance, timeout=self._timeout
             )
-        # Traced dispatch: the executor mints a per-run child span
-        # (parented on the job's context), ships it across the process
-        # boundary, and publishes both edges of the hop -- the dispatch
-        # from this process and the completion with the worker-minted
-        # grandchild span (which carries the worker's host/pid).  Both
-        # events set their trace fields explicitly, so the bus's bound
-        # job context does not overwrite them (setdefault merge).
-        dispatch = _child_trace(self._trace)
-        if self._emit is not None and dispatch is not None:
-            self._emit(
-                "run_dispatched",
-                {**dispatch, "workflow": self._workflow},
-            )
-        outcome, cost, from_store, span = self._pool.run_traced(
+        dispatch = self._dispatched()
+        result = self._pool.run_traced(
             self._spec,
             self._workflow,
             instance,
             timeout=self._timeout,
             trace=dispatch,
         )
-        if self._emit is not None:
-            payload = {
-                "workflow": self._workflow,
-                "outcome": outcome.value,
-                "seconds": cost,
-                "from_store": bool(from_store),
-            }
-            if isinstance(span, dict):
-                trace = span.get("trace")
-                if isinstance(trace, dict):
-                    payload.update(trace)
-                for key in ("worker", "host", "pid"):
-                    if key in span:
-                        payload[key] = span[key]
-            elif dispatch is not None:
-                payload.update(dispatch)
-            self._emit("run_completed", payload)
-        return outcome
+        self._completed(dispatch, *result)
+        return result[0]
+
+    def _many(self, instances: Sequence[Instance]) -> list[Outcome | BaseException]:
+        traces = None
+        if self._trace is not None:
+            traces = [self._dispatched() for __ in instances]
+        results = self._pool.run_many(
+            self._spec,
+            self._workflow,
+            instances,
+            timeout=self._timeout,
+            traces=traces,
+        )
+        outcomes: list[Outcome | BaseException] = []
+        for position, result in enumerate(results):
+            if isinstance(result, BaseException):
+                outcomes.append(result)
+                continue
+            if traces is not None:
+                self._completed(traces[position], *result)
+            outcomes.append(result[0])
+        return outcomes
+
+    # Traced dispatch: the executor mints a per-run child span (parented
+    # on the job's context), ships it across the process boundary, and
+    # publishes both edges of the hop -- the dispatch from this process
+    # and the completion with the worker-minted grandchild span (which
+    # carries the worker's host/pid).  Both events set their trace
+    # fields explicitly, so the bus's bound job context does not
+    # overwrite them (setdefault merge).
+    def _dispatched(self) -> dict | None:
+        dispatch = _child_trace(self._trace)
+        if self._emit is not None and dispatch is not None:
+            self._emit("run_dispatched", {**dispatch, "workflow": self._workflow})
+        return dispatch
+
+    def _completed(
+        self,
+        dispatch: dict | None,
+        outcome: Outcome,
+        cost: float,
+        from_store: bool,
+        span: dict | None,
+    ) -> None:
+        if self._emit is None:
+            return
+        payload = {
+            "workflow": self._workflow,
+            "outcome": outcome.value,
+            "seconds": cost,
+            "from_store": bool(from_store),
+        }
+        if isinstance(span, dict):
+            trace = span.get("trace")
+            if isinstance(trace, dict):
+                payload.update(trace)
+            for key in ("worker", "host", "pid"):
+                if key in span:
+                    payload[key] = span[key]
+        elif dispatch is not None:
+            payload.update(dispatch)
+        self._emit("run_completed", payload)
 
 
-class ProcessPoolBackend:
+class ProcessPoolBackend(SchedulerBackend):
     """Per-session :class:`~repro.core.session.ExecutionBackend` view.
 
-    Batch tasks are session closures (they charge the budget and record
-    history in the parent), so they cannot cross the process boundary
-    themselves; the backend fans them out on the *pool-owned*
-    :class:`~repro.concurrency.scheduler.SharedScheduler` thread pool
-    (one per pool, sized to it, torn down with it), and each task's
-    inner executor call is what crosses into a worker process.
-    Budget-aware ``skip`` hooks are honored exactly like the in-process
-    scheduler backend.
+    Batch tasks are session closures, so they cannot cross the process
+    boundary themselves; they run on the *pool-owned*
+    :class:`~repro.concurrency.scheduler.SharedScheduler` (one per pool,
+    sized to it, torn down with it).  A batch-capable executor turns a
+    whole speculative batch into one such task whose ``run_many`` ships
+    one pipe frame per worker.
     """
 
     def __init__(self, pool: ProcessPool, job_id: str = "process-batch"):
+        super().__init__(pool._dispatch_scheduler(), job_id)
         self._pool = pool
-        self.job_id = job_id
-        self._scheduler = pool._dispatch_scheduler()
-
-    @property
-    def parallel(self) -> bool:
-        return True
 
     @property
     def pool(self) -> ProcessPool:
         return self._pool
-
-    def run_batch(self, tasks: Sequence[Callable[[], object]]) -> list[object]:
-        requests = [
-            self._scheduler.submit(
-                self.job_id, task, skip=getattr(task, "skip", None)
-            )
-            for task in tasks
-        ]
-        return [request.result() for request in requests]

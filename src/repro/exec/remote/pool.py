@@ -261,6 +261,9 @@ class RemoteWorkerPool:
         self._fallback_limit = max(0, fallback_limit)
         self._local_running = 0
         self._shutdown = False
+        # The monitor's own wake-up: NOT self._cond, which is notified
+        # on every run and would make the monitor scan per completion.
+        self._stopping = threading.Event()
         self._run_prefix = secrets.token_hex(3)
         self._run_seq = itertools.count(1)
         self._name_seq = itertools.count(1)
@@ -598,8 +601,7 @@ class RemoteWorkerPool:
 
     def _monitor_loop(self) -> None:
         tick = max(0.01, self.heartbeat_interval / 2.0)
-        while not self._shutdown:
-            time.sleep(tick)
+        while not self._stopping.wait(tick):
             suspects: list[_RemoteWorker] = []
             evictees: list[_RemoteWorker] = []
             now = time.monotonic()
@@ -894,10 +896,14 @@ class RemoteWorkerPool:
             for pending in pendings:
                 pending.complete_lost("pool shutdown")
             self._cond.notify_all()
+        self._stopping.set()
+        # Closing a listening socket does not wake a thread blocked in
+        # accept(); shutting it down first does.
         try:
-            self._server.close()
-        except OSError:  # pragma: no cover
+            self._server.shutdown(socket.SHUT_RDWR)
+        except OSError:  # pragma: no cover - already shut down
             pass
+        self._server.close()
         for worker in workers:
             try:
                 worker.conn.send({"type": "bye"})
@@ -908,6 +914,8 @@ class RemoteWorkerPool:
             scheduler.shutdown()
         for thread in self._threads:
             thread.join(timeout=2.0)
+            if thread.is_alive():
+                raise RuntimeError(f"{thread.name} did not stop within 2s")
 
     def __enter__(self) -> "RemoteWorkerPool":
         return self

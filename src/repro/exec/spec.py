@@ -27,6 +27,7 @@ no lambdas, no closures, no ``__main__``-only state beyond what
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib
 import json
@@ -134,9 +135,10 @@ class ExecutorSpec:
         )
 
     # -- Identity ------------------------------------------------------------
-    @property
+    @functools.cached_property
     def fingerprint(self) -> str:
-        """Content hash: the worker-side executor memo key."""
+        """Content hash: the worker-side executor memo key (computed once
+        per spec; the spec is frozen, so it cannot go stale)."""
         payload = json.dumps(
             [self.builder, [[k, v] for k, v in self.kwargs]],
             sort_keys=True,

@@ -9,8 +9,9 @@ cannot overlap it, which is exactly the gap the process pool closes),
 latency-simulation mode, useful on single-core machines).
 
 Fault injection is worker-side and file-coordinated so it works across
-process boundaries: ``crash_on`` / ``hang_on`` name a parameter-value
-assignment that triggers the fault, and an optional ``once_path``
+process boundaries: ``crash_on`` / ``hang_on`` / ``raise_on`` name a
+parameter-value assignment that triggers the fault (a dead worker, a
+hung run, or a pipeline that raises while its worker survives), and an optional ``once_path``
 sentinel file makes the fault one-shot -- the first matching run
 creates the file and faults; the retry (on a replacement worker, or any
 later attempt) sees the file and runs normally.  That is the shape the
@@ -77,6 +78,7 @@ class SyntheticPipeline:
         hang_on: dict[str, int] | None,
         hang_once_path: str | None,
         hang_seconds: float,
+        raise_on: dict[str, int] | None = None,
     ):
         self.fail_when = fail_when
         self.work_iterations = work_iterations
@@ -88,6 +90,7 @@ class SyntheticPipeline:
         self.hang_on = hang_on
         self.hang_once_path = hang_once_path
         self.hang_seconds = hang_seconds
+        self.raise_on = raise_on
 
     def _fault_armed(self, once_path: str | None) -> bool:
         """True when the fault should fire; one-shot via the sentinel file.
@@ -114,6 +117,8 @@ class SyntheticPipeline:
             self.hang_once_path
         ):
             time.sleep(self.hang_seconds)
+        if _matches(instance, self.raise_on):
+            raise ValueError(f"injected pipeline error on {instance.as_dict()}")
         if self.mode == "cpu":
             if self.work_iterations:
                 _burn_cpu(self.work_iterations)
@@ -136,10 +141,11 @@ def build_pipeline(
     hang_on: object = None,
     hang_once_path: str | None = None,
     hang_seconds: float = 3600.0,
+    raise_on: object = None,
 ) -> SyntheticPipeline:
     """ExecutorSpec-friendly factory (all arguments JSON-able).
 
-    ``fail_when`` / ``crash_on`` / ``hang_on`` accept dicts or the
+    ``fail_when`` / ``crash_on`` / ``hang_on`` / ``raise_on`` accept dicts or the
     frozen pair-tuples an :class:`~repro.exec.spec.ExecutorSpec` ships.
     """
     return SyntheticPipeline(
@@ -153,6 +159,7 @@ def build_pipeline(
         hang_on=_as_assignment(hang_on),
         hang_once_path=hang_once_path,
         hang_seconds=float(hang_seconds),
+        raise_on=_as_assignment(raise_on),
     )
 
 

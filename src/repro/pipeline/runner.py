@@ -167,14 +167,14 @@ class ParallelDebugSession(DebugSession):
 
     Since the service layer landed, this class is a thin adapter: it
     owns a private :class:`~repro.concurrency.scheduler.SharedScheduler`
-    (elastic worker pool, budget-aware dispatch) and plugs it into the
+    (elastic worker pool) and plugs it into the
     base session's backend hook.  Multi-job deployments should use
     :class:`~repro.service.service.DebugService` instead, which shares
     one scheduler and execution cache across sessions.
 
-    Budget note: batch items that exhaust the budget mid-flight are
-    dropped (their results discarded) rather than aborting the whole
-    batch; per-item semantics match serial evaluation.
+    Budget note: the session admits each batch against the budget
+    before dispatch, so items beyond it are dropped (None) without
+    running; per-item semantics match serial evaluation.
     """
 
     def __init__(

@@ -130,44 +130,123 @@ class ExecutionCache:
         Order: memory tier -> persistent tier -> single-flight inner
         execution (written through to the persistent tier).
         """
-        key = instance_cache_key(workflow, instance)
+        outcome = self._flights.get_or_execute(
+            instance_cache_key(workflow, instance),
+            self._producer(workflow, instance, executor),
+        )
+        assert isinstance(outcome, Outcome)
+        return outcome
 
-        def produce() -> Outcome:
+    def _producer(self, workflow: str, instance: Instance, executor: Executor):
+        """The single-item leader's ``produce``: tiers, then ``executor``."""
+        return lambda: self._produce(
+            workflow, [instance], lambda batch: [executor(batch[0])]
+        )[0]
+
+    def evaluate_many(
+        self,
+        workflow: str,
+        instances: list[Instance],
+        many,
+        executor: Executor,
+    ) -> list[Outcome | BaseException]:
+        """Evaluate a batch through the cache tiers, one result per item.
+
+        Every miss is claimed (single-flight leadership) up front and
+        produced by ONE ``many(instances)`` call; items already in
+        flight elsewhere are joined afterwards, so two batches leading
+        each other's keys cannot deadlock.  A joined item whose leader
+        failed contends to lead again through the single-item
+        ``executor``.  An item that raised comes back as its error.
+        """
+        keys = [instance_cache_key(workflow, instance) for instance in instances]
+        results: list[Outcome | BaseException | None] = [None] * len(keys)
+        led: list[tuple[int, object]] = []
+        joined: list[tuple[int, str, object]] = []
+        for index, key in enumerate(keys):
+            state, found = self._flights.claim(key)
+            if state == "hit":
+                results[index] = found  # type: ignore[assignment]
+            elif state == "lead":
+                led.append((index, found))
+            else:
+                joined.append((index, state, found))
+        if led:
+            try:
+                produced = self._produce(
+                    workflow, [instances[index] for index, __ in led], many
+                )
+            except BaseException as error:
+                produced = [error] * len(led)
+            for (index, flight), value in zip(led, produced):
+                if isinstance(value, BaseException):
+                    self._flights.abandon(keys[index], flight)
+                else:
+                    self._flights.resolve(keys[index], flight, value)
+                results[index] = value
+        for index, state, found in joined:
+            try:
+                results[index] = self._flights.settle(
+                    keys[index],
+                    state,
+                    found,
+                    self._producer(workflow, instances[index], executor),
+                )
+            except BaseException as error:
+                results[index] = error
+        return results  # type: ignore[return-value]
+
+    def _produce(
+        self, workflow: str, instances: list[Instance], many
+    ) -> list[Outcome | BaseException]:
+        """Led misses: persistent tier, then one inner batch execution
+        written through to the persistent tier."""
+        results: list[Outcome | BaseException | None] = [None] * len(instances)
+        misses = list(range(len(instances)))
+        if self._store is not None:
+            misses = []
             # The stores are internally thread-safe; no cache-level lock
             # around them, or one slow/contended store call would stall
             # every other worker's persistent-tier access.
-            if self._store is not None:
+            for index, instance in enumerate(instances):
                 try:
                     record = self._store.lookup(workflow, instance)
                 except Exception:
                     record = None  # store trouble reads as a miss
-                if record is not None:
-                    with self._stats_lock:
-                        self._persistent_hits += 1
-                    return record.outcome
+                if record is None:
+                    misses.append(index)
+                    continue
+                with self._stats_lock:
+                    self._persistent_hits += 1
+                results[index] = record.outcome
+        if misses:
             started = time.perf_counter()
-            outcome = executor(instance)
-            cost = time.perf_counter() - started if self._record_cost else 0.0
-            if self._store is not None:
-                record = ProvenanceRecord(
-                    workflow=workflow,
-                    instance=instance,
-                    outcome=outcome,
-                    cost=cost,
-                    created_at=time.time(),
-                )
+            produced = many([instances[index] for index in misses])
+            cost = (
+                (time.perf_counter() - started) / len(misses)
+                if self._record_cost
+                else 0.0
+            )
+            for index, outcome in zip(misses, produced):
+                results[index] = outcome
+                if self._store is None or isinstance(outcome, BaseException):
+                    continue
                 try:
-                    self._store.upsert(record)
+                    self._store.upsert(
+                        ProvenanceRecord(
+                            workflow=workflow,
+                            instance=instances[index],
+                            outcome=outcome,
+                            cost=cost,
+                            created_at=time.time(),
+                        )
+                    )
                 except Exception:
                     # The outcome is already in hand (and will live in
                     # the memory tier); a contended or full store must
                     # not fail the job over a lost write-through.
                     pass
-            return outcome
-
-        outcome = self._flights.get_or_execute(key, produce)
-        assert isinstance(outcome, Outcome)
-        return outcome
+        return results  # type: ignore[return-value]
 
     def executor(self, workflow: str, inner: Executor) -> "CachedExecutor":
         """Bind the cache to one workflow + inner executor pair."""
@@ -197,6 +276,8 @@ class CachedExecutor:
         self._counter_lock = threading.Lock()
         self.requests = 0
         self.executions = 0
+        if hasattr(inner, "many"):
+            self.many = self._many  # batch entry point, only if inner has one
 
     @property
     def workflow(self) -> str:
@@ -226,3 +307,15 @@ class CachedExecutor:
         with self._counter_lock:
             self.requests += 1
         return self._cache.evaluate(self._workflow, instance, self._counted_inner)
+
+    def _counted_many(self, instances: list[Instance]):
+        with self._counter_lock:
+            self.executions += len(instances)
+        return self._inner.many(instances)  # type: ignore[attr-defined]
+
+    def _many(self, instances: list[Instance]) -> list[Outcome | BaseException]:
+        with self._counter_lock:
+            self.requests += len(instances)
+        return self._cache.evaluate_many(
+            self._workflow, instances, self._counted_many, self._counted_inner
+        )

@@ -109,20 +109,28 @@ class _CancellationGuard:
     runs on the worker slot right before the pipeline would execute:
     requests queued when :meth:`JobHandle.cancel` lands resolve by
     raising :class:`~repro.service.jobs.JobCancelled` instead of
-    running, and the session refunds their budget charge.
+    running, and the session refunds their budget charge.  A speculative
+    batch is one slice: it is checked once, before it is dispatched.
     """
 
-    __slots__ = ("_inner", "_cancel", "_job_id")
+    __slots__ = ("_inner", "_cancel", "_job_id", "many")
 
     def __init__(self, inner, cancel_event: threading.Event, job_id: str):
         self._inner = inner
         self._cancel = cancel_event
         self._job_id = job_id
+        if hasattr(inner, "many"):
+            self.many = self._many  # batch entry point, only if inner has one
 
     def __call__(self, instance):
         if self._cancel.is_set():
             raise JobCancelled(self._job_id)
         return self._inner(instance)
+
+    def _many(self, instances):
+        if self._cancel.is_set():
+            raise JobCancelled(self._job_id)
+        return self._inner.many(instances)
 
 
 class DebugService:

@@ -241,6 +241,23 @@ class TestExecutorSpec:
         assert a == b and a.fingerprint == b.fingerprint
         assert a.fingerprint != c.fingerprint
 
+    def test_fingerprint_survives_pickle_and_wire(self):
+        import pickle
+
+        spec = synth_spec(crash_on={"p0": 1}, mode="sleep")
+        cold = ExecutorSpec.from_builder(
+            SYNTH, fail_when=FAIL_WHEN, crash_on={"p0": 1}, mode="sleep"
+        )
+        fingerprint = spec.fingerprint  # computed (and kept) before pickling
+        for copy in (
+            pickle.loads(pickle.dumps(spec)),
+            pickle.loads(pickle.dumps(cold)),
+            ExecutorSpec.from_wire(spec.to_wire()),
+        ):
+            assert copy == spec
+            assert copy.fingerprint == fingerprint
+        assert cold.fingerprint == fingerprint
+
     def test_bad_reference_errors(self):
         with pytest.raises(ValueError):
             ExecutorSpec(builder="no-colon")

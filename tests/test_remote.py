@@ -277,6 +277,21 @@ class TestRetryPolicy:
 # ---------------------------------------------------------------------------
 
 class TestFleetBasics:
+    def test_idle_pool_shuts_down_promptly_without_threads_left(self):
+        """Shutdown wakes the blocked accept() and the monitor's wait
+        instead of timing out their joins."""
+        before = set(threading.enumerate())
+        pool = make_pool(heartbeat_interval=1.0)
+        threads = [
+            t for t in set(threading.enumerate()) - before
+            if t.name in ("fleet-accept", "fleet-monitor")
+        ]
+        assert len(threads) == 2
+        started = time.perf_counter()
+        pool.shutdown()
+        assert time.perf_counter() - started <= 0.1
+        assert not any(thread.is_alive() for thread in threads)
+
     def test_outcomes_match_in_process(self):
         reference = build_pipeline(fail_when=FAIL_WHEN)
         rng = random.Random(0)

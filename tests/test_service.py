@@ -265,12 +265,14 @@ class TestBackendHook:
             assert parallel.parallel is True
 
     def test_budget_aware_skip_in_batches(self):
-        """Batch items beyond the budget are skipped, not dispatched."""
+        """Batch items beyond the budget are never submitted: the session
+        admits the batch against the budget before dispatch."""
         from repro.core import InstanceBudget
 
+        counting = CountingExecutor(_oracle)
         with SharedScheduler(workers=1) as scheduler:
             session = DebugSession(
-                _oracle,
+                counting,
                 _space(),
                 budget=InstanceBudget(2),
                 backend=scheduler.backend("job"),
@@ -280,10 +282,12 @@ class TestBackendHook:
             ]
             results = session.evaluate_many(batch)
             assert session.budget.spent == 2
-            assert sum(1 for outcome in results if outcome is not None) == 2
-            # The single worker drains FIFO, so items after exhaustion
-            # were resolved by the budget-aware skip path.
-            assert scheduler.stats.skipped == 4
+            assert results[:2] == [Outcome.FAIL, Outcome.SUCCEED]
+            assert results[2:] == [None] * 4
+            assert counting.calls == 2
+            stats = scheduler.stats_snapshot()
+            assert stats["submitted"] == 2
+            assert stats["skipped"] == 0
 
 
 def _custom_job(spec_id, instances, budget=None, **kwargs):
