@@ -21,7 +21,8 @@ executing new pipeline instances.  This package provides:
 * :mod:`repro.synth` -- the synthetic pipeline benchmark of Section 5.1;
 * :mod:`repro.workloads` -- the real-world case-study pipelines of
   Section 5.3 (ML classification, Data Polygamy, GAN training,
-  DBSherlock) as laptop-scale simulators;
+  DBSherlock) as laptop-scale simulators (imported on demand, so
+  ``import repro`` does not load numpy);
 * :mod:`repro.eval` -- the paper's evaluation protocol and metrics.
 
 Quickstart::
@@ -46,7 +47,6 @@ from . import (
     provenance,
     service,
     synth,
-    workloads,
 )
 from .core import (
     Algorithm,
@@ -96,5 +96,4 @@ __all__ = [
     "provenance",
     "service",
     "synth",
-    "workloads",
 ]

@@ -625,12 +625,10 @@ def cmd_serve(args) -> int:
             if result.cache_stats
             else "-",
             # Per-job columnar-engine health: reference-path fallbacks
-            # (0 on clean runs) / compile-cache hits / store shards x
-            # parallel fan-outs.
+            # (0 on clean runs) / compile-cache hits / store shards.
             f"{result.engine_stats['fallbacks']}"
             f"/{result.engine_stats['compile_hits']}"
             f"/{result.engine_stats.get('shards', 1)}"
-            f"x{result.engine_stats.get('parallel_queries', 0)}"
             if result.engine_stats
             else "-",
             f"{result.wall_seconds:.2f}s",
@@ -645,7 +643,7 @@ def cmd_serve(args) -> int:
                 "causes",
                 "executed",
                 "cache hits",
-                "fb/ch/shxpq",
+                "fb/ch/sh",
                 "wall",
             ],
             rows,

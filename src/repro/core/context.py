@@ -120,11 +120,11 @@ class StrategyContext:
         by construction).  Tests assert this stays 0 on clean runs."""
         return 0 if self._engine is None else self._engine.fallbacks
 
-    def engine_stats(self) -> dict[str, int | str] | None:
+    def engine_stats(self) -> dict[str, int] | None:
         """The columnar engine's counter snapshot (fallbacks, compile
-        cache hits/misses, match-table reuse/footprint, shard layout,
-        parallel-query count, kernel path), or None on the reference
-        engine.  This is the per-job view the service reports:
+        cache hits/misses, match-table reuse/footprint, shard layout),
+        or None on the reference engine.  This is the per-job view the
+        service reports:
         ``ColumnarEngine.for_session`` builds a fresh engine per
         context, so these counters cover exactly this job's queries.
         """

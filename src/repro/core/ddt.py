@@ -346,9 +346,8 @@ def _explore_complement(
 
     The per-candidate "covered by a confirmed cause?" rejection test is
     served by the context's :meth:`~repro.core.context.StrategyContext.any_satisfied`
-    batch seam -- the transpose of ``rows_matching_many``: one encoded
-    candidate probed against the whole confirmed list's memoized
-    compiled masks.  ``batch=False`` reproduces the original
+    batch seam: one encoded candidate probed against the whole
+    confirmed list's memoized compiled masks.  ``batch=False`` reproduces the original
     per-predicate scan exactly (same answers either way).
     """
     if config.exploration_per_round <= 0:

@@ -20,13 +20,12 @@ This module provides that compiled path:
 * Conjunctions compile to per-parameter *allowed-code masks*; testing
   one against the whole history is a handful of big-int ANDs
   (:meth:`ColumnarEngine.refutes` / :meth:`ColumnarEngine.supports`).
-* Whole *batches* of conjunctions evaluate in one pass
-  (:func:`compile_many`, :meth:`ColumnarStore.rows_matching_many`,
-  :meth:`ColumnarEngine.refutes_many` / :meth:`~ColumnarEngine.supports_many`
+* Whole *batches* of conjunctions evaluate against shared state
+  (:meth:`ColumnarEngine.refutes_many` / :meth:`~ColumnarEngine.supports_many`
   / :meth:`~ColumnarEngine.subsumes_matrix`): conjunctions sharing
   literals share one per-``(parameter, allowed-mask)`` *match table*
   (:meth:`ColumnarStore.match_rows`), memoized on the store and
-  invalidated by row-count generation whenever the history grows.
+  extended in place whenever the history grows.
 * :class:`IncrementalTreeBuilder` induces the debugging decision tree
   over index bitsets, and *repairs* the previous round's tree on append
   instead of rebuilding it: only nodes whose row set changed are
@@ -40,9 +39,7 @@ This module provides that compiled path:
   a refutation found in the first shard never scans the rest of a
   multi-million-row history; global bitset views (for the tree builder
   and the legacy uncached paths) are composed lazily from shard-local
-  masks and memoized.  A :class:`~repro.core.shards.ShardExecutor`
-  fans per-shard work across a thread pool when the
-  :class:`~repro.core.shards.ShardPlan` allows more than one worker.
+  masks and memoized.  Every query runs serially on the calling thread.
 
 Correctness contract: every public operation returns **exactly** what
 the dict-based reference path returns.  The encoders therefore refuse
@@ -66,9 +63,14 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 
-from .bitkernel import iter_bits, kernel_path, lowest_bit, popcount
 from .predicates import Comparator, Conjunction, Predicate
-from .shards import DEFAULT_MATCH_TABLE_LIMIT, Shard, ShardExecutor, ShardPlan
+from .shards import (
+    DEFAULT_MATCH_TABLE_LIMIT,
+    Shard,
+    ShardPlan,
+    iter_bits,
+    lowest_bit,
+)
 from .tree import DebuggingTree, LeafKind, TreeNode, _gini, _predicate_rank
 from .types import Instance, Outcome, ParameterSpace
 
@@ -79,11 +81,7 @@ __all__ = [
     "IncrementalTreeBuilder",
     "ShardPlan",
     "compile_conjunction",
-    "compile_many",
 ]
-
-# Backwards-compatible alias; the canonical helper lives in bitkernel.
-_iter_bits = iter_bits
 
 
 class SpaceCodec:
@@ -217,27 +215,6 @@ def compile_conjunction(
     )
 
 
-def compile_many(
-    conjunctions: Sequence[Conjunction],
-    codec: SpaceCodec,
-    predicate_masks: dict[Predicate, object] | None = None,
-) -> list[list[tuple[int, int]] | None]:
-    """Compile a batch of conjunctions with one shared literal table.
-
-    Equivalent to ``[compile_conjunction(c, codec) for c in
-    conjunctions]`` (per-item None for uncompilable entries), but every
-    distinct predicate's allowed-code mask is computed once for the
-    whole batch.  Pass a ``predicate_masks`` dict to keep the table
-    alive across batches.
-    """
-    if predicate_masks is None:
-        predicate_masks = {}
-    return [
-        compile_conjunction(conjunction, codec, predicate_masks)
-        for conjunction in conjunctions
-    ]
-
-
 class ColumnarStore:
     """Integer-coded columns + outcome bitsets over one history.
 
@@ -279,7 +256,6 @@ class ColumnarStore:
         self.plan = plan
         self.match_table_limit = match_table_limit
         self.shards: list[Shard] = [Shard(0, self.codec.domain_sizes)]
-        self.executor = ShardExecutor(plan.max_workers)
         self.n_rows = 0
         self.rows: list[Instance] = []
         self.row_codes: list[tuple[int, ...]] = []
@@ -544,104 +520,6 @@ class ColumnarStore:
                 return True
         return False
 
-    def any_match_many(
-        self,
-        compiled_batch: Sequence[list[tuple[int, int]]],
-        within_fail: bool,
-    ) -> list[bool]:
-        """``[any_match(c, within_fail) for c in compiled_batch]``.
-
-        With a multi-worker plan and a batch worth fanning, evaluates
-        one task per shard on the executor (each task owns its shard's
-        match tables, so shard-local state stays single-writer) and ORs
-        the per-shard verdicts; otherwise falls through to the serial
-        short-circuiting scan.
-        """
-        shards = self.shards
-        if (
-            self.plan.max_workers > 1
-            and len(shards) > 1
-            and len(compiled_batch) >= self.plan.fan_min_batch
-        ):
-            def screen_shard(shard: Shard) -> list[bool]:
-                base = shard.fail_mask if within_fail else shard.succeed_mask
-                out: list[bool] = []
-                for compiled in compiled_batch:
-                    rows = base
-                    for index, allowed in compiled:
-                        if not rows:
-                            break
-                        rows &= self.shard_match(shard, index, allowed)
-                    out.append(bool(rows))
-                return out
-            per_shard = self.executor.map(screen_shard, shards)
-            return [any(column) for column in zip(*per_shard)]
-        return [
-            self.any_match(compiled, within_fail)
-            for compiled in compiled_batch
-        ]
-
-    def rows_matching_many(
-        self,
-        compiled_batch: Sequence[list[tuple[int, int]] | None],
-        within: int,
-    ) -> list[int | None]:
-        """Per-conjunction hit bitsets for a compiled batch, in one pass.
-
-        Equivalent to ``[rows_matching(c, within) for c in batch]`` with
-        None propagated for uncompilable entries, but every distinct
-        ``(parameter, allowed-mask)`` literal touches the columns once
-        via the shared :meth:`match_rows` tables.  Multi-worker plans
-        fan one task per shard and compose the shard-local hit bitsets,
-        which is bit-identical because every mask is partitioned by row
-        range.
-        """
-        shards = self.shards
-        if (
-            self.plan.max_workers > 1
-            and len(shards) > 1
-            and sum(1 for c in compiled_batch if c is not None)
-            >= self.plan.fan_min_batch
-        ):
-            def match_shard(shard: Shard) -> list[int | None]:
-                local_within = (within >> shard.start) & shard.full_mask
-                out: list[int | None] = []
-                for compiled in compiled_batch:
-                    if compiled is None:
-                        out.append(None)
-                        continue
-                    rows = local_within
-                    for index, allowed in compiled:
-                        if not rows:
-                            break
-                        rows &= self.shard_match(shard, index, allowed)
-                    out.append(rows)
-                return out
-            per_shard = self.executor.map(match_shard, shards)
-            results: list[int | None] = []
-            for position, compiled in enumerate(compiled_batch):
-                if compiled is None:
-                    results.append(None)
-                    continue
-                rows = 0
-                for shard, local_rows in zip(shards, per_shard):
-                    if local_rows[position]:
-                        rows |= local_rows[position] << shard.start
-                results.append(rows)
-            return results
-        results = []
-        for compiled in compiled_batch:
-            if compiled is None:
-                results.append(None)
-                continue
-            rows = within
-            for index, allowed in compiled:
-                if not rows:
-                    break
-                rows &= self.match_rows(index, allowed)
-            results.append(rows)
-        return results
-
     def materialize(self, rows_mask: int) -> list[Instance]:
         """The instances of the rows in ``rows_mask``, in row order."""
         rows = self.rows
@@ -722,7 +600,6 @@ class ColumnarStore:
             "match_evictions": self.match_evictions,
             "match_entries": entries,
             "match_bytes": estimated,
-            "parallel_queries": self.executor.parallel_queries,
         }
 
     def builder(self, max_depth: int | None) -> "IncrementalTreeBuilder":
@@ -785,8 +662,8 @@ class IncrementalTreeBuilder:
 
     # -- Induction ---------------------------------------------------------
     def _leaf(self, mask: int, depth: int) -> _Shadow:
-        n_fail = popcount(mask & self.store.fail_mask)
-        n_succeed = popcount(mask) - n_fail
+        n_fail = (mask & self.store.fail_mask).bit_count()
+        n_succeed = mask.bit_count() - n_fail
         if n_fail and not n_succeed:
             kind = LeafKind.FAIL
         elif n_succeed and not n_fail:
@@ -815,19 +692,15 @@ class IncrementalTreeBuilder:
         Candidate enumeration order, the Gini gain arithmetic, and the
         ``(gain, -rank)`` tie-break replicate ``_candidate_splits`` /
         ``_split_gain`` bit for bit, so the chosen split -- and hence
-        the whole tree -- is identical to the dict path's.  Multi-shard
-        stores route through :meth:`_best_split_sharded`, which scans
-        shard-local bitsets and sums per-shard popcounts (identical
-        integers, hence identical Gini floats) instead of composing
-        global columns.
+        the whole tree -- is identical to the dict path's.  Columns are
+        the store's composed global bitsets, so every store (one shard
+        or many) takes this one path.
         """
-        if len(self.store.shards) > 1:
-            return self._best_split_sharded(mask)
         store = self.store
         codec = store.codec
         fail = store.fail_mask
-        total = popcount(mask)
-        n_fail_total = popcount(mask & fail)
+        total = mask.bit_count()
+        n_fail_total = (mask & fail).bit_count()
         n_succeed_total = total - n_fail_total
         parent = _gini(n_fail_total, n_succeed_total)
 
@@ -839,11 +712,11 @@ class IncrementalTreeBuilder:
             index: int, comparator: Comparator, code: int, true_mask: int
         ) -> None:
             nonlocal best_gain, best_rank, best
-            n_true = popcount(true_mask)
+            n_true = true_mask.bit_count()
             n_false = total - n_true
             if n_true == 0 or n_false == 0:
                 return
-            true_fail = popcount(true_mask & fail)
+            true_fail = (true_mask & fail).bit_count()
             true_succeed = n_true - true_fail
             false_fail = n_fail_total - true_fail
             false_succeed = n_succeed_total - true_succeed
@@ -881,173 +754,9 @@ class IncrementalTreeBuilder:
                         consider(index, Comparator.EQ, code, column[code] & mask)
         return best
 
-    def _best_split_sharded(self, mask: int) -> tuple[Predicate, int] | None:
-        """Sharded candidate scan: identical selection, shard-local work.
-
-        Three waves over the shards (fanned on the store's executor when
-        the plan allows): (1) which codes each parameter takes inside
-        ``mask``, (2) per-candidate (n_true, true_fail) counts from
-        shard-local bitsets, (3) the winning candidate's composed
-        true-row bitset.  Candidate order and the Gini/tie-break
-        arithmetic are the serial scan's exactly -- counts are sums of
-        per-shard popcounts of disjoint row ranges, so every integer
-        (and therefore every float) matches bit for bit.
-        """
-        store = self.store
-        codec = store.codec
-        shards = store.shards
-        executor = store.executor
-        local_masks = [
-            (mask >> shard.start) & shard.full_mask for shard in shards
-        ]
-        n_params = codec.n_params
-
-        def observe(pack: tuple[Shard, int]) -> list[int]:
-            shard, local_mask = pack
-            observed = [0] * n_params
-            if not local_mask:
-                return observed
-            for index in range(n_params):
-                column = shard.value_rows[index]
-                bits = 0
-                for code, rows in enumerate(column):
-                    if rows & local_mask:
-                        bits |= 1 << code
-                observed[index] = bits
-            return observed
-
-        per_shard_observed = executor.map(
-            observe, list(zip(shards, local_masks))
-        )
-        observed_bits = [0] * n_params
-        for shard_observed in per_shard_observed:
-            for index in range(n_params):
-                observed_bits[index] |= shard_observed[index]
-
-        # Candidate plan in the serial scan's exact order: per parameter
-        # (space order), LE at every observed code but the last for
-        # ordinals (ascending), EQ at every observed code for
-        # categoricals (repr order).
-        plans: list[tuple[int, bool, list[int]]] = []
-        candidates: list[tuple[int, Comparator, int]] = []
-        for index, parameter in enumerate(codec.parameters):
-            bits = observed_bits[index]
-            observed = list(iter_bits(bits))
-            if len(observed) < 2:
-                continue
-            if parameter.is_ordinal:
-                plans.append((index, True, observed))
-                for code in observed[:-1]:
-                    candidates.append((index, Comparator.LE, code))
-            else:
-                ordered = [
-                    code for code in codec.repr_orders[index]
-                    if (bits >> code) & 1
-                ]
-                plans.append((index, False, ordered))
-                for code in ordered:
-                    candidates.append((index, Comparator.EQ, code))
-        if not candidates:
-            return None
-
-        def count(pack: tuple[Shard, int]) -> list[tuple[int, int]]:
-            shard, local_mask = pack
-            counts: list[tuple[int, int]] = []
-            if not local_mask:
-                return [(0, 0)] * len(candidates)
-            local_fail = shard.fail_mask
-            for index, is_ordinal, codes in plans:
-                column = shard.value_rows[index]
-                if is_ordinal:
-                    accumulated = 0
-                    for code in codes[:-1]:
-                        accumulated |= column[code] & local_mask
-                        counts.append(
-                            (
-                                popcount(accumulated),
-                                popcount(accumulated & local_fail),
-                            )
-                        )
-                else:
-                    for code in codes:
-                        true_rows = column[code] & local_mask
-                        counts.append(
-                            (
-                                popcount(true_rows),
-                                popcount(true_rows & local_fail),
-                            )
-                        )
-            return counts
-
-        per_shard_counts = executor.map(count, list(zip(shards, local_masks)))
-
-        total = popcount(mask)
-        n_fail_total = popcount(mask & store.fail_mask)
-        n_succeed_total = total - n_fail_total
-        parent = _gini(n_fail_total, n_succeed_total)
-
-        best_gain: float | None = None
-        best_rank = 0
-        best_at: int | None = None
-        for position, (index, comparator, code) in enumerate(candidates):
-            n_true = 0
-            true_fail = 0
-            for shard_counts in per_shard_counts:
-                shard_true, shard_fail = shard_counts[position]
-                n_true += shard_true
-                true_fail += shard_fail
-            n_false = total - n_true
-            if n_true == 0 or n_false == 0:
-                continue
-            true_succeed = n_true - true_fail
-            false_fail = n_fail_total - true_fail
-            false_succeed = n_succeed_total - true_succeed
-            child = (n_true / total) * _gini(true_fail, true_succeed) + (
-                n_false / total
-            ) * _gini(false_fail, false_succeed)
-            gain = parent - child
-            if best_gain is not None and gain < best_gain:
-                continue
-            rank = self._rank(index, comparator, code)
-            if best_gain is None or gain > best_gain or -rank > -best_rank:
-                best_gain = gain
-                best_rank = rank
-                best_at = position
-        if best_at is None:
-            return None
-
-        index, comparator, code = candidates[best_at]
-
-        def materialize(pack: tuple[Shard, int]) -> int:
-            shard, local_mask = pack
-            if not local_mask:
-                return 0
-            column = shard.value_rows[index]
-            if comparator is Comparator.LE:
-                # OR over all codes <= the split code: codes unobserved
-                # inside the mask contribute nothing after the AND, so
-                # this equals the serial observed-code accumulation.
-                true_rows = 0
-                for low_code in range(code + 1):
-                    true_rows |= column[low_code]
-                return true_rows & local_mask
-            return column[code] & local_mask
-
-        true_mask = 0
-        for shard, local_rows in zip(
-            shards, executor.map(materialize, list(zip(shards, local_masks)))
-        ):
-            if local_rows:
-                true_mask |= local_rows << shard.start
-        parameter = codec.parameters[index]
-        return (
-            Predicate(parameter.name, comparator, parameter.domain[code]),
-            true_mask,
-        )
-
     def _build(self, mask: int, depth: int) -> _Shadow:
-        n_fail = popcount(mask & self.store.fail_mask)
-        n_succeed = popcount(mask) - n_fail
+        n_fail = (mask & self.store.fail_mask).bit_count()
+        n_succeed = mask.bit_count() - n_fail
         if n_fail == 0 or n_succeed == 0:
             return self._leaf(mask, depth)
         if self.max_depth is not None and depth >= self.max_depth:
@@ -1073,8 +782,8 @@ class IncrementalTreeBuilder:
         every descendant whose row set is unchanged.
         """
         mask = shadow.mask | new_bits
-        n_fail = popcount(mask & self.store.fail_mask)
-        n_succeed = popcount(mask) - n_fail
+        n_fail = (mask & self.store.fail_mask).bit_count()
+        n_succeed = mask.bit_count() - n_fail
         if n_fail == 0 or n_succeed == 0:
             return self._leaf(mask, depth)
         if self.max_depth is not None and depth >= self.max_depth:
@@ -1187,9 +896,9 @@ class ColumnarEngine:
             return self._session.columnar_store(plan=self._plan)
         return self.history.columnar_store(self.space, plan=self._plan)
 
-    def stats(self) -> dict[str, int | str]:
+    def stats(self) -> dict[str, int]:
         """Instrumentation snapshot: fallbacks, cache traffic, and the
-        store's shard layout / match-table footprint / kernel path."""
+        store's shard layout / match-table footprint."""
         store = self._store()
         store_stats = store.stats()
         return {
@@ -1204,8 +913,6 @@ class ColumnarEngine:
             "match_bytes": store_stats["match_bytes"],
             "shards": store_stats["shards"],
             "shard_rows": store_stats["shard_rows"],
-            "parallel_queries": store_stats["parallel_queries"],
-            "kernel_path": kernel_path(),
         }
 
     def _compiled_for(self, conjunction: Conjunction):
@@ -1286,18 +993,9 @@ class ColumnarEngine:
             self.fallbacks += len(conjunctions)
             return [reference(c) for c in conjunctions]
         within_fail = against == "fail"
-        compiled_batch = [self._compiled_for(c) for c in conjunctions]
-        if (
-            self._use_match_cache
-            and len(store.shards) > 1
-            and None not in compiled_batch
-        ):
-            # Fully-compilable batch on a multi-shard store: one pass
-            # that the executor may fan shard-per-task (serial plans
-            # fall through to the same per-item short-circuit scan).
-            return store.any_match_many(compiled_batch, within_fail)
         results: list[bool] = []
-        for conjunction, compiled in zip(conjunctions, compiled_batch):
+        for conjunction in conjunctions:
+            compiled = self._compiled_for(conjunction)
             if compiled is None:
                 # Per-item degradation: the rest of the batch stays on
                 # the compiled path (reference answers are identical).
@@ -1328,8 +1026,7 @@ class ColumnarEngine:
     ) -> bool:
         """``any(c.satisfied_by(instance) for c in conjunctions)``.
 
-        The transpose of :meth:`ColumnarStore.rows_matching_many`: one
-        strictly-encoded instance is tested against many memoized
+        The transpose of the batch screens: one strictly-encoded instance is tested against many memoized
         compiled conjunctions, each test a handful of mask bit probes.
         The strict encode matters: a compiled conjunction drops
         full-domain entries as "no constraint", which is only faithful
@@ -1437,50 +1134,14 @@ class ColumnarEngine:
         the whole matrix (they are memoized on the engine anyway, so
         repeated matrices across rounds reuse them); each cell is then
         a handful of mask comparisons.  Per-cell fallback semantics
-        match the scalar call.  A fully-compilable matrix worth the
-        fan-out evaluates general-rows in parallel on the store's
-        executor: workers only *read* the shared verdict memo (and the
-        immutable masks) and return their row's fresh verdicts, which
-        are folded into the memo after the join, so the result and the
-        memo contents are exactly the serial path's.
+        match the scalar call.
         """
         general_masks = [self._canonical_or_none(g) for g in generals]
         specific_masks = [self._canonical_or_none(s) for s in specifics]
         general_ids = [self._conjunction_id(g) for g in generals]
         specific_ids = [self._conjunction_id(s) for s in specifics]
         cache = self._subsume_cache
-        if (
-            len(generals) > 1
-            and len(generals) * len(specifics) >= 16
-            and all(m is not None for m in general_masks)
-            and all(m is not None for m in specific_masks)
-        ):
-            store = self._store()
-            if store.plan.max_workers > 1:
-                def matrix_row(
-                    pack: tuple[dict[int, int], int],
-                ) -> tuple[list[bool], list[tuple[tuple[int, int], bool]]]:
-                    mine, gid = pack
-                    row: list[bool] = []
-                    fresh: list[tuple[tuple[int, int], bool]] = []
-                    for theirs, sid in zip(specific_masks, specific_ids):
-                        key = (gid, sid)
-                        verdict = cache.get(key)
-                        if verdict is None:
-                            verdict = self._masks_subsume(mine, theirs)
-                            fresh.append((key, verdict))
-                        row.append(verdict)
-                    return row, fresh
-                rows = store.executor.map(
-                    matrix_row, list(zip(general_masks, general_ids))
-                )
-                matrix: list[list[bool]] = []
-                for row, fresh in rows:
-                    for key, verdict in fresh:
-                        cache[key] = verdict
-                    matrix.append(row)
-                return matrix
-        matrix = []
+        matrix: list[list[bool]] = []
         for general, mine, gid in zip(generals, general_masks, general_ids):
             row: list[bool] = []
             for specific, theirs, sid in zip(

@@ -1,47 +1,45 @@
 """Row-range sharding for the columnar store.
 
-A :class:`~repro.core.engine.ColumnarStore` used to keep one monolithic
-big-int bitset per (parameter, code): every query was a serial pass
-over the whole history, and every append copied every touched
-full-length column.  This module supplies the pieces that break the
-store into **row-range shards**:
+A :class:`~repro.core.engine.ColumnarStore` keeps its rows in
+**row-range shards** rather than one monolithic big-int bitset per
+(parameter, code).  This module supplies the pieces:
 
-* :class:`ShardPlan` -- the sizing policy: how many rows per shard and
-  how many worker threads the parallel executor may use.  Auto-sized
-  from the row count and ``os.cpu_count()``, overridable explicitly or
-  via ``REPRO_SHARD_ROWS`` / ``REPRO_SHARD_WORKERS``.
+* :class:`ShardPlan` -- the sizing policy: how many rows per shard.
+  Auto-sized from the row count; small histories stay in one shard.
 * :class:`Shard` -- one contiguous row range ``[start, start+n_rows)``
   with *local* per-(parameter, code) bitsets, a local fail mask, and a
   local LRU-capped match-table cache.  Bit ``i`` of a local mask is
   global row ``start + i``.  Only the tail shard ever grows; a sealed
   shard (and everything cached against it) is immutable, which is what
   makes incremental maintenance cheap: appends touch only the tail.
-* :class:`ShardExecutor` -- a lazily-created thread pool that fans
-  per-shard work items out when the plan allows more than one worker,
-  counting ``parallel_queries``.  Threads are the right tool here:
-  the fan-out units are either numpy bytes-kernel calls (which release
-  the GIL) or big-int passes over *disjoint* shards whose Python-level
-  overhead interleaves; with one worker everything stays serial and
-  the executor never spawns a thread.
+* The big-int idioms every hot loop of the engine reduces to:
+  :func:`lowest_bit`, :func:`iter_bits` and :func:`accumulate_codes`.
+
+Every query runs serially on the calling thread.  The win sharding
+buys is ordering, not parallelism: existence queries walk shards in
+row order and stop at the first witness, touching small shard-local
+integers instead of one history-wide bitset per literal.
 
 The store façade in :mod:`repro.core.engine` composes global answers
-from shard-local ones and short-circuits existence queries shard by
-shard; this module deliberately knows nothing about predicates or
-histories.
+from shard-local ones; this module deliberately knows nothing about
+predicates or histories.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .bitkernel import accumulate_codes
+__all__ = [
+    "ShardPlan",
+    "Shard",
+    "DEFAULT_MATCH_TABLE_LIMIT",
+    "accumulate_codes",
+    "iter_bits",
+    "lowest_bit",
+]
 
-__all__ = ["ShardPlan", "Shard", "ShardExecutor", "DEFAULT_MATCH_TABLE_LIMIT"]
-
-# Per-shard cap on cached match tables (entries); see ShardPlan notes.
+# Per-shard cap on cached match tables (entries).
 DEFAULT_MATCH_TABLE_LIMIT = 4096
 
 # Smallest shard the auto plan will cut.  Histories below this stay in
@@ -49,10 +47,38 @@ DEFAULT_MATCH_TABLE_LIMIT = 4096
 # counter semantics) exactly -- sharding only pays above this scale.
 MIN_AUTO_SHARD_ROWS = 16384
 
-# The auto plan targets about two shards per worker so the executor
-# always has a full wave of work, capped to keep per-query Python-level
-# shard-loop overhead bounded on huge stores.
-MAX_AUTO_SHARDS = 32
+# Shards the auto plan aims for: enough for the short-circuit to skip
+# most of a long history, few enough that the per-query shard loop
+# stays cheap.
+AUTO_SHARDS = 4
+
+
+def lowest_bit(mask: int) -> int:
+    """Position of the lowest set bit of a non-zero ``mask``."""
+    return (mask & -mask).bit_length() - 1
+
+
+def iter_bits(mask: int):
+    """Yield the set-bit positions of ``mask`` in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def accumulate_codes(column: list[int], allowed: int) -> int:
+    """OR of ``column[code]`` over the set bits of ``allowed``.
+
+    The match-table build loop: ``column`` is one parameter's per-code
+    row bitsets and ``allowed`` the compiled allowed-code mask; the
+    result is the bitset of rows whose code lies in the mask.
+    """
+    matched = 0
+    while allowed:
+        low = allowed & -allowed
+        matched |= column[low.bit_length() - 1]
+        allowed ^= low
+    return matched
 
 
 def _pow2_at_least(value: int) -> int:
@@ -66,54 +92,28 @@ class ShardPlan:
     Attributes:
         shard_rows: rows per shard; the tail shard is sealed and a new
             one opened when it reaches this size.
-        max_workers: upper bound on executor threads for parallel
-            fan-outs.  ``1`` keeps every query serial (no pool is ever
-            created) while preserving shard short-circuiting.
-        fan_min_batch: smallest batch (conjunctions, matrix rows) worth
-            fanning out; below it the serial path is always cheaper.
     """
 
     shard_rows: int
-    max_workers: int = 1
-    fan_min_batch: int = 4
 
     def __post_init__(self) -> None:
         if self.shard_rows < 1:
             raise ValueError(f"shard_rows must be >= 1, got {self.shard_rows}")
-        if self.max_workers < 1:
-            raise ValueError(
-                f"max_workers must be >= 1, got {self.max_workers}"
-            )
 
     @classmethod
-    def auto(
-        cls, row_hint: int = 0, cpu_count: int | None = None
-    ) -> "ShardPlan":
-        """Size a plan from a row-count hint and the machine's cores.
+    def auto(cls, row_hint: int = 0) -> "ShardPlan":
+        """Size a plan from a row-count hint.
 
         ``row_hint`` is typically the history's current distinct count;
         stores created before the history grows simply start with one
-        tail shard and split as rows arrive.  Environment overrides
-        (``REPRO_SHARD_ROWS``, ``REPRO_SHARD_WORKERS``) take precedence
-        -- they are the operational escape hatch the benchmarks and
-        service deployments use.
+        tail shard and split as rows arrive.
         """
-        env_rows = os.environ.get("REPRO_SHARD_ROWS")
-        env_workers = os.environ.get("REPRO_SHARD_WORKERS")
-        workers = (
-            int(env_workers)
-            if env_workers
-            else min(cpu_count or os.cpu_count() or 1, 8)
-        )
-        if env_rows:
-            shard_rows = int(env_rows)
-        else:
-            target_shards = min(MAX_AUTO_SHARDS, 2 * workers)
-            shard_rows = max(
+        return cls(
+            shard_rows=max(
                 MIN_AUTO_SHARD_ROWS,
-                _pow2_at_least(max(1, row_hint) // max(1, target_shards)),
+                _pow2_at_least(max(1, row_hint) // AUTO_SHARDS),
             )
-        return cls(shard_rows=shard_rows, max_workers=max(1, workers))
+        )
 
 
 class Shard:
@@ -225,46 +225,3 @@ class Shard:
         for mask, __ in self._match.values():
             total += 28 + 4 * ((mask.bit_length() + 29) // 30)
         return entries, total
-
-
-class ShardExecutor:
-    """Lazy thread pool for per-shard fan-outs.
-
-    With ``max_workers == 1`` (or single-item work lists) everything
-    runs serially on the calling thread and no pool is ever created;
-    otherwise a pool spins up on first use and ``parallel_queries``
-    counts every fanned call.  Work functions receive one item and must
-    touch only that item's shard-local state (plus read-only store
-    state) -- the store enforces this by fanning exactly one task per
-    shard.
-    """
-
-    __slots__ = ("max_workers", "parallel_queries", "_pool")
-
-    def __init__(self, max_workers: int = 1):
-        self.max_workers = max(1, max_workers)
-        self.parallel_queries = 0
-        self._pool: ThreadPoolExecutor | None = None
-
-    def map(self, fn, items) -> list:
-        items = list(items)
-        if self.max_workers < 2 or len(items) < 2:
-            return [fn(item) for item in items]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="repro-shard",
-            )
-        self.parallel_queries += 1
-        return list(self._pool.map(fn, items))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    def __del__(self):  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass

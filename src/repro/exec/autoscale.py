@@ -143,9 +143,12 @@ class AdaptiveSizer:
         return snapshot
 
     def stop(self) -> None:
+        """Wake and join the control loop; raises if it outlives 2 s."""
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=2.0)
+            if self._thread.is_alive():
+                raise RuntimeError(f"{self._thread.name} did not stop within 2s")
 
     def __enter__(self) -> "AdaptiveSizer":
         return self

@@ -248,6 +248,9 @@ class RetentionThread:
             return dict(self._stats)
 
     def stop(self) -> None:
+        """Wake and join the sweeper; raises if it outlives 5 s."""
         self._stop.set()
         if self._thread.is_alive():
             self._thread.join(timeout=5.0)
+            if self._thread.is_alive():
+                raise RuntimeError(f"{self._thread.name} did not stop within 5s")

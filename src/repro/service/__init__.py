@@ -21,12 +21,10 @@ into a multi-tenant service:
   streams, per-tenant quotas, ``/query``).
 
 The raw concurrency primitives (the shared scheduler and the
-single-flight cache) live below this layer in :mod:`repro.concurrency`;
-:mod:`~repro.service.scheduler` and :mod:`~repro.service.cache`
-re-export them for compatibility.
+single-flight cache) live below this layer in :mod:`repro.concurrency`.
 """
 
-from .cache import CachedExecutor, CacheStats, ExecutionCache, SingleFlightCache
+from .cache import CachedExecutor, ExecutionCache
 from .jobs import JobCancelled, JobGoal, JobHandle, JobResult, JobSpec, JobStatus
 from .queue import (
     DurableJobQueue,
@@ -35,18 +33,11 @@ from .queue import (
     spec_from_payload,
     spec_to_payload,
 )
-from .scheduler import (
-    ScheduledExecutor,
-    SchedulerBackend,
-    SchedulerStats,
-    SharedScheduler,
-)
 from .service import DebugService
 from .http import DebugServiceHTTP, HTTPError, TenantQuota
 
 __all__ = [
     "CachedExecutor",
-    "CacheStats",
     "DebugService",
     "DebugServiceHTTP",
     "DurableJobQueue",
@@ -58,11 +49,6 @@ __all__ = [
     "JobResult",
     "JobSpec",
     "JobStatus",
-    "ScheduledExecutor",
-    "SchedulerBackend",
-    "SchedulerStats",
-    "SharedScheduler",
-    "SingleFlightCache",
     "TenantQuota",
     "space_from_payload",
     "space_to_payload",

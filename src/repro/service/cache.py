@@ -18,13 +18,13 @@ it*), the cache merely makes the charge cheap and keeps the global
 execution count minimal.
 
 Both tiers are built on the single-flight primitive
-(:class:`~repro.concurrency.singleflight.SingleFlightCache`, re-exported
-here for compatibility): when several threads ask for the same uncached
-key concurrently, exactly one of them (the *leader*) runs the inner
-executor; the others block until the leader finishes and then share its
-outcome.  If the leader's execution raises, the flight is abandoned and
-one waiter takes over as the new leader -- a transient failure never
-poisons the cache and never fails bystander jobs.
+(:class:`~repro.concurrency.singleflight.SingleFlightCache`): when
+several threads ask for the same uncached key concurrently, exactly one
+of them (the *leader*) runs the inner executor; the others block until
+the leader finishes and then share its outcome.  If the leader's
+execution raises, the flight is abandoned and one waiter takes over as
+the new leader -- a transient failure never poisons the cache and never
+fails bystander jobs.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from ..core.types import Executor, Instance, Outcome
 from ..provenance.record import ProvenanceRecord
 from ..provenance.store import ProvenanceStore
 
-__all__ = ["CacheStats", "ExecutionCache", "SingleFlightCache", "CachedExecutor"]
+__all__ = ["ExecutionCache", "CachedExecutor"]
 
 DEFAULT_WORKFLOW = "service"
 

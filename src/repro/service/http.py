@@ -199,11 +199,15 @@ class DebugServiceHTTP:
         self._server.serve_forever()
 
     def shutdown(self) -> None:
+        """Stop serving and join the serve thread; raises if it
+        outlives 5 s."""
         self._server.shutdown()
         self._server.server_close()
         if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+            thread, self._thread = self._thread, None
+            thread.join(timeout=5.0)
+            if thread.is_alive():
+                raise RuntimeError(f"{thread.name} did not stop within 5s")
 
     def __enter__(self) -> "DebugServiceHTTP":
         self.start()

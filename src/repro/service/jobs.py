@@ -179,8 +179,7 @@ class JobResult:
             None for jobs that never built a session.
         engine_stats: the job's columnar-engine counter snapshot
             (``fallbacks``, compile-cache and match-table traffic,
-            ``shards`` / ``parallel_queries`` / ``kernel_path`` and the
-            match-table footprint; see
+            ``shards`` / ``shard_rows`` and the match-table footprint; see
             :meth:`~repro.core.engine.ColumnarEngine.stats`), or None
             for custom ``run`` bodies, reference-engine jobs, and jobs
             that never built a strategy context.
@@ -202,7 +201,7 @@ class JobResult:
     new_executions: int = 0
     wall_seconds: float = 0.0
     cache_stats: dict[str, int] | None = None
-    engine_stats: dict[str, int | str] | None = None
+    engine_stats: dict[str, int] | None = None
     accounting_settled: bool = True
 
     @property

@@ -7,7 +7,7 @@ clients submit :class:`~repro.service.jobs.JobSpec`s and the service
    budget/history accounting stays exactly the paper's (each job is
    charged for instances new *to it*),
 2. routes every pipeline execution through one
-   :class:`~repro.service.scheduler.SharedScheduler` (fair, elastic,
+   :class:`~repro.concurrency.SharedScheduler` (fair, elastic,
    budget-aware worker pool), and
 3. deduplicates executions across jobs -- and across service restarts --
    via the :class:`~repro.service.cache.ExecutionCache`, optionally
@@ -30,6 +30,7 @@ import json
 import threading
 import time
 
+from ..concurrency import SharedScheduler
 from ..core.budget import InstanceBudget
 from ..core.bugdoc import BugDoc
 from ..core.session import DebugSession
@@ -42,7 +43,6 @@ from ..obs.sink import DurableEventBus
 from ..provenance.store import ProvenanceStore, space_key
 from .cache import CachedExecutor, ExecutionCache
 from .jobs import JobCancelled, JobGoal, JobHandle, JobResult, JobSpec, JobStatus
-from .scheduler import SharedScheduler
 
 __all__ = ["DebugService", "report_fingerprint", "spec_fingerprint"]
 
@@ -532,7 +532,7 @@ class DebugService:
         started = time.perf_counter()
         session: DebugSession | None = None
         cached: CachedExecutor | None = None
-        engine_stats: dict[str, int | str] | None = None
+        engine_stats: dict[str, int] | None = None
         # Every job event flows through the metrics adapter: forwarded
         # to the bus unchanged, counted into the service registry, and
         # tallied per job for the terminal metrics_snapshot event.

@@ -3,8 +3,7 @@
 The contract of the batch layer (PR 4) is threefold:
 
 1. **Batch == one-at-a-time == reference.**  ``refutes_many`` /
-   ``supports_many`` / ``subsumes_matrix`` / ``rows_matching_many``
-   return exactly what per-conjunction engine calls return, which in
+   ``supports_many`` / ``subsumes_matrix`` return exactly what per-conjunction engine calls return, which in
    turn return exactly what the dict-based reference implementations
    return -- over arbitrary histories and conjunction batches,
    including duplicate, contradictory (unsatisfiable), and
@@ -45,9 +44,9 @@ from repro.core import (
 )
 from repro.core.engine import (
     ColumnarEngine,
+    ShardPlan,
     SpaceCodec,
     compile_conjunction,
-    compile_many,
 )
 
 
@@ -140,12 +139,17 @@ class TestBatchDifferential:
         batch = _random_batch(space, rng, size=rng.randint(0, 12))
         engine = ColumnarEngine(space, history)
         scalar = ColumnarEngine(space, history, use_match_cache=False)
-        assert engine.refutes_many(batch) == [
+        # A multi-shard store over a copy (a history interns one store).
+        sharded = ColumnarEngine(
+            space, history.copy(), plan=ShardPlan(shard_rows=4)
+        )
+        assert engine.refutes_many(batch) == sharded.refutes_many(batch) == [
             scalar.refutes(c) for c in batch
         ] == [history.refutes(c) for c in batch]
-        assert engine.supports_many(batch) == [
+        assert engine.supports_many(batch) == sharded.supports_many(batch) == [
             scalar.supports(c) for c in batch
         ] == [history.supports(c) for c in batch]
+        assert sharded.fallbacks == 0
 
     @settings(max_examples=40, deadline=None)
     @given(_spaces, st.integers(0, 2**32))
@@ -159,26 +163,6 @@ class TestBatchDifferential:
             for j, specific in enumerate(specifics):
                 assert matrix[i][j] == engine.subsumes(general, specific)
                 assert matrix[i][j] == general.subsumes(specific, space)
-
-    @settings(max_examples=40, deadline=None)
-    @given(_spaces, st.integers(0, 2**32))
-    def test_rows_matching_many_matches_scalar(self, space, seed):
-        rng = random.Random(seed)
-        history = _random_history(space, rng, size=rng.randint(1, 20))
-        batch = _random_batch(space, rng, size=rng.randint(1, 10))
-        codec = SpaceCodec(space)
-        store = history.columnar_store(space)
-        compiled_batch = compile_many(batch, codec)
-        assert compiled_batch == [
-            compile_conjunction(c, codec) for c in batch
-        ]
-        for within in (store.all_mask, store.fail_mask, store.succeed_mask):
-            many = store.rows_matching_many(compiled_batch, within)
-            for compiled, rows in zip(compiled_batch, many):
-                if compiled is None:
-                    assert rows is None
-                else:
-                    assert rows == store.rows_matching(compiled, within)
 
     @settings(max_examples=30, deadline=None)
     @given(_spaces, st.integers(0, 2**32))
@@ -220,8 +204,8 @@ class TestBatchDifferential:
     @settings(max_examples=50, deadline=None)
     @given(_spaces, st.integers(0, 2**32))
     def test_any_satisfied_matches_scalar_any(self, space, seed):
-        """The instance-vs-many screen (the ``rows_matching_many``
-        transpose behind ``_explore_complement``) equals the scalar
+        """The instance-vs-many screen (behind ``_explore_complement``)
+        equals the scalar
         ``any`` expression -- same verdicts, same short-circuit
         semantics, same raised exceptions -- across random conjunction
         lists and instances (in-domain, out-of-domain, foreign keys)."""

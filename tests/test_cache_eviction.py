@@ -14,8 +14,9 @@ import threading
 
 import pytest
 
+from repro.concurrency import SingleFlightCache
 from repro.core.types import Instance, Outcome
-from repro.service.cache import ExecutionCache, SingleFlightCache
+from repro.service.cache import ExecutionCache
 
 
 class TestSingleFlightLRU:

@@ -29,7 +29,12 @@ from repro.core import (
     Predicate,
     build_tree,
 )
-from repro.core.engine import ColumnarEngine, SpaceCodec, compile_conjunction
+from repro.core.engine import (
+    ColumnarEngine,
+    ShardPlan,
+    SpaceCodec,
+    compile_conjunction,
+)
 from repro.core.tree import TreeNode
 
 
@@ -113,13 +118,22 @@ class TestCompiledQueries:
         rng = random.Random(seed)
         history = _random_history(space, rng, size=rng.randint(0, 25))
         engine = ColumnarEngine(space, history)
+        # A multi-shard store over a copy (a history interns one store).
+        sharded = ColumnarEngine(
+            space, history.copy(), plan=ShardPlan(shard_rows=4)
+        )
         for __ in range(15):
             conjunction = _random_conjunction(space, rng)
-            assert engine.refutes(conjunction) == history.refutes(conjunction)
-            assert engine.supports(conjunction) == history.supports(conjunction)
-            assert engine.is_hypothetical_root_cause(
-                conjunction
-            ) == history.is_hypothetical_root_cause(conjunction)
+            for columnar in (engine, sharded):
+                assert columnar.refutes(conjunction) == history.refutes(
+                    conjunction
+                )
+                assert columnar.supports(conjunction) == history.supports(
+                    conjunction
+                )
+                assert columnar.is_hypothetical_root_cause(
+                    conjunction
+                ) == history.is_hypothetical_root_cause(conjunction)
 
     @settings(max_examples=40, deadline=None)
     @given(_spaces, st.integers(0, 2**32))
@@ -194,16 +208,21 @@ class TestIncrementalTrees:
         rng = random.Random(seed)
         history = ExecutionHistory()
         engine = ColumnarEngine(space, history)
+        # The same stream into a multi-shard store: splits and repairs
+        # over composed columns must give the same tree.
+        sharded_history = ExecutionHistory()
+        sharded = ColumnarEngine(
+            space, sharded_history, plan=ShardPlan(shard_rows=4)
+        )
         seen = set()
         for step in range(rng.randint(5, 30)):
             instance = space.random_instance(rng)
             if instance in seen:
                 continue
             seen.add(instance)
-            history.record(
-                instance,
-                Outcome.FAIL if rng.random() < 0.4 else Outcome.SUCCEED,
-            )
+            outcome = Outcome.FAIL if rng.random() < 0.4 else Outcome.SUCCEED
+            history.record(instance, outcome)
+            sharded_history.record(instance, outcome)
             # Rebuild the reference tree from scratch; the engine only
             # repairs the paths the new row touches.
             samples = [
@@ -214,6 +233,7 @@ class TestIncrementalTrees:
             assert columnar is not None
             assert _trees_equal(reference, columnar.root), f"diverged at step {step}"
             assert columnar.root.size == reference.size
+            assert _trees_equal(reference, sharded.tree(max_depth=max_depth).root)
 
     def test_fail_paths_identical(self):
         space = ParameterSpace(

@@ -13,6 +13,7 @@ import sys
 import time
 import urllib.error
 import urllib.request
+from unittest import mock
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,15 @@ def api(tmp_path):
 
 
 class TestHTTPAPI:
+    def test_shutdown_raises_when_serve_thread_outlives_join(self, api):
+        serving = api._thread
+        api._thread = mock.Mock(**{"is_alive.return_value": True})
+        api._thread.name = "debug-http"
+        with pytest.raises(RuntimeError, match="debug-http"):
+            api.shutdown()
+        serving.join(5.0)
+        assert not serving.is_alive()
+
     def test_health_and_stats(self, api):
         status, body = _get(api.port, "/healthz")
         assert (status, json.loads(body)) == (200, {"status": "ok"})

@@ -4,7 +4,10 @@ parallel-vs-serial equivalence guarantees."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -247,3 +250,34 @@ class TestGeneratedInstancesFeedBaselines:
         result = explanation_tables(session.history, pipeline.space)
         for cause in result.asserted_causes():
             assert not session.history.refutes(cause)
+
+
+class TestImportFootprint:
+    """numpy is loaded only by the workload simulators that need it, so
+    a CLI start or a spawned pool worker does not pay for it, and the
+    engine never reaches for a thread pool."""
+
+    @pytest.mark.parametrize(
+        "module, absent",
+        [
+            ("repro", ("numpy",)),
+            ("repro.exec.synthetic", ("numpy",)),
+            ("repro.core", ("numpy", "concurrent.futures")),
+        ],
+    )
+    def test_import_leaves_modules_unloaded(self, module, absent):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        code = (
+            f"import sys, {module}; "
+            f"print(sorted(m for m in {absent!r} if m in sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

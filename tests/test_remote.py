@@ -32,6 +32,7 @@ import subprocess
 import sys
 import threading
 import time
+from unittest import mock
 
 import pytest
 
@@ -863,6 +864,22 @@ class TestAdaptiveSizer:
             depth["value"] = 1  # burst resumes: idle streak resets
             sizer.tick()
         assert pool.live == 3  # never shrank
+
+    def test_idle_sizer_stops_promptly(self):
+        sizer = AdaptiveSizer(_FakePool(), depth=lambda: 0, interval=3600.0)
+        started = time.perf_counter()
+        sizer.stop()
+        assert time.perf_counter() - started <= 0.1
+        assert not any(
+            t.name == "pool-autoscale" for t in threading.enumerate()
+        )
+
+    def test_stop_raises_when_loop_outlives_join(self):
+        sizer = AdaptiveSizer(_FakePool(), depth=lambda: 0, start=False)
+        sizer._thread = mock.Mock(**{"is_alive.return_value": True})
+        sizer._thread.name = "pool-autoscale"
+        with pytest.raises(RuntimeError, match="pool-autoscale"):
+            sizer.stop()
 
     def test_process_pool_scale_to_is_symmetric(self):
         with ProcessPool(max_workers=2, prewarm=0) as pool:

@@ -22,6 +22,9 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+import time
+from unittest import mock
 
 import pytest
 
@@ -371,6 +374,24 @@ class TestRetentionThread:
         store.close()
         assert thread.sweep() is None
         assert thread.stats()["errors"] == 1
+
+    def test_idle_thread_stops_promptly(self, store):
+        thread = RetentionThread(
+            store, RetentionPolicy(), interval_seconds=3600.0
+        ).start()
+        started = time.perf_counter()
+        thread.stop()
+        assert time.perf_counter() - started <= 0.1
+        assert not any(
+            t.name == "repro-retention" for t in threading.enumerate()
+        )
+
+    def test_stop_raises_when_sweeper_outlives_join(self, store):
+        thread = RetentionThread(store, RetentionPolicy())
+        thread._thread = mock.Mock(**{"is_alive.return_value": True})
+        thread._thread.name = "repro-retention"
+        with pytest.raises(RuntimeError, match="repro-retention"):
+            thread.stop()
 
 
 class TestQueryPagination:

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.concurrency import SharedScheduler, SingleFlightCache
 from repro.core import (
     Algorithm,
     BudgetExhausted,
@@ -32,8 +33,6 @@ from repro.service import (
     JobGoal,
     JobSpec,
     JobStatus,
-    SharedScheduler,
-    SingleFlightCache,
 )
 
 

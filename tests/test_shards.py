@@ -7,8 +7,8 @@ over the same rows, which in turn must answer exactly like the
 dict-based reference implementations.  These tests drive random
 spaces/histories through all three paths -- including appends that
 straddle shard boundaries mid-query and degraded histories -- and
-require equality, not similarity.  The bit kernels are property-tested
-against each other, and the LRU match-table cap is checked to evict
+require equality, not similarity.  The bit helpers are property-tested
+against naive loops, and the LRU match-table cap is checked to evict
 without ever changing an answer.
 """
 
@@ -29,16 +29,19 @@ from repro.core import (
     ParameterSpace,
     Predicate,
 )
-from repro.core.bitkernel import (
-    _popcount_bytes,
-    _popcount_int,
+from repro.core.engine import (
+    ColumnarEngine,
+    ColumnarStore,
+    ShardPlan,
+    compile_conjunction,
+)
+from repro.core.shards import (
+    AUTO_SHARDS,
+    MIN_AUTO_SHARD_ROWS,
     accumulate_codes,
     iter_bits,
     lowest_bit,
-    rank,
 )
-from repro.core.engine import ColumnarEngine, ColumnarStore, ShardPlan
-from repro.core.shards import MIN_AUTO_SHARD_ROWS, Shard
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +67,10 @@ _spaces = st.lists(
     st.tuples(st.booleans(), st.integers(2, 5)), min_size=2, max_size=4
 ).map(_space_from_blueprint)
 
-# Tiny shards + a multi-worker plan: every history beyond a few rows
-# crosses shard boundaries, and batch queries exercise the fan-out.
-_SHARDED = ShardPlan(shard_rows=4, max_workers=2, fan_min_batch=2)
-_UNSHARDED = ShardPlan(shard_rows=1 << 62, max_workers=1)
+# Tiny shards: every history beyond a few rows crosses shard
+# boundaries, so every query exercises the shard-ordered scan.
+_SHARDED = ShardPlan(shard_rows=4)
+_UNSHARDED = ShardPlan(shard_rows=1 << 62)
 
 
 def _random_conjunction(space: ParameterSpace, rng: random.Random) -> Conjunction:
@@ -131,26 +134,10 @@ def _trees_equal(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bit kernels
+# Bit helpers
 # ---------------------------------------------------------------------------
 
 class TestBitKernel:
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(min_value=0, max_value=(1 << 700) - 1))
-    def test_popcount_kernels_agree(self, mask):
-        assert _popcount_int(mask) == mask.bit_count()
-        assert _popcount_bytes(mask) == mask.bit_count()
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=(1 << 200) - 1),
-        st.integers(min_value=0, max_value=220),
-    )
-    def test_rank_counts_bits_below_position(self, mask, position):
-        assert rank(mask, position) == sum(
-            1 for bit in iter_bits(mask) if bit < position
-        )
-
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=1, max_value=(1 << 200) - 1))
     def test_lowest_bit_and_iter_bits(self, mask):
@@ -181,25 +168,14 @@ class TestShardPlan:
     def test_validation(self):
         with pytest.raises(ValueError):
             ShardPlan(shard_rows=0)
-        with pytest.raises(ValueError):
-            ShardPlan(shard_rows=8, max_workers=0)
 
     def test_auto_keeps_small_histories_single_shard(self):
-        plan = ShardPlan.auto(row_hint=500, cpu_count=4)
+        plan = ShardPlan.auto(row_hint=500)
         assert plan.shard_rows >= MIN_AUTO_SHARD_ROWS
 
     def test_auto_scales_shard_rows_with_history(self):
-        plan = ShardPlan.auto(row_hint=1 << 21, cpu_count=4)
-        # ~2 shards per worker: shard_rows lands near rows / 8.
-        assert MIN_AUTO_SHARD_ROWS <= plan.shard_rows < (1 << 21)
-        assert plan.max_workers == 4
-
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_ROWS", "64")
-        monkeypatch.setenv("REPRO_SHARD_WORKERS", "3")
-        plan = ShardPlan.auto(row_hint=10**6, cpu_count=16)
-        assert plan.shard_rows == 64
-        assert plan.max_workers == 3
+        plan = ShardPlan.auto(row_hint=1 << 21)
+        assert plan.shard_rows == (1 << 21) // AUTO_SHARDS
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +222,9 @@ class TestShardedStore:
             assert sharded.match_rows(index, allowed) == unsharded.match_rows(
                 index, allowed
             )
-        from repro.core.engine import compile_many
-
         conjunctions = [_random_conjunction(space, rng) for __ in range(8)]
-        compiled = compile_many(conjunctions, codec)
+        compiled = [compile_conjunction(c, codec) for c in conjunctions]
         within = sharded.all_mask
-        assert sharded.rows_matching_many(
-            compiled, within
-        ) == unsharded.rows_matching_many(compiled, within)
         for entry in compiled:
             if entry is None:
                 continue
@@ -341,7 +312,6 @@ class TestShardedStore:
             "match_evictions",
             "match_entries",
             "match_bytes",
-            "parallel_queries",
         ):
             assert key in stats
 
@@ -511,26 +481,9 @@ class TestShardedEngine:
         engine.refutes_many(conjunctions)
         stats = engine.stats()
         assert stats["shards"] >= 2
-        assert stats["kernel_path"] in ("int", "bytes")
-        assert stats["parallel_queries"] >= 1  # the batch fanned
         for key in ("match_evictions", "match_entries", "match_bytes"):
             assert key in stats
         assert stats["fallbacks"] == 0
-
-    def test_parallel_matrix_populates_serial_cache(self):
-        space = _space_from_blueprint([(True, 4), (False, 4)])
-        rng = random.Random(9)
-        history = ExecutionHistory()
-        engine = ColumnarEngine(space, history, plan=_SHARDED)
-        generals = [_random_conjunction(space, rng) for __ in range(6)]
-        specifics = [_random_conjunction(space, rng) for __ in range(6)]
-        first = engine.subsumes_matrix(generals, specifics)
-        # Second call is served from the verdict memo; answers identical.
-        assert engine.subsumes_matrix(generals, specifics) == first
-        expected = [
-            [g.subsumes(s, space) for s in specifics] for g in generals
-        ]
-        assert first == expected
 
 
 class TestShardedEndToEnd:
@@ -548,7 +501,7 @@ class TestShardedEndToEnd:
             )
 
         reports = []
-        for plan in (None, ShardPlan(shard_rows=4, max_workers=2)):
+        for plan in (None, ShardPlan(shard_rows=4)):
             bugdoc = BugDoc(oracle, space, budget=120, seed=13, shard_plan=plan)
             reports.append(bugdoc.find_all(Algorithm.DECISION_TREES))
         assert reports[0].causes == reports[1].causes
